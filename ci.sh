@@ -23,6 +23,12 @@ cargo build --release
 HI_EXEC_THREADS=1 cargo test -q
 cargo test -q
 
+# The benchmark under perfbench/ is its own cargo project that compiles
+# against hi-core's and hi-serve's public API; build and test it here so
+# an API change that breaks it fails CI, not the next benchmark run.
+cargo build --release --offline --manifest-path perfbench/Cargo.toml
+cargo test -q --offline --manifest-path perfbench/Cargo.toml
+
 # Concurrency-verification gates. The hi-check mutant self-test (also in
 # the workspace run above, kept explicit here as the named gate): every
 # seeded protocol bug — weakened ordering, missing notify, lock-order

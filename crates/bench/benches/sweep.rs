@@ -111,8 +111,9 @@ fn main() {
             t,
             &opts(t),
             |exec, evaluator| {
-                for slot in exec.eval_points(evaluator, &points) {
-                    slot.expect("sweep is never cancelled");
+                for slot in exec.try_eval_points(evaluator, &points) {
+                    slot.expect("sweep is never cancelled")
+                        .expect("evaluation failed");
                 }
             },
         ));
@@ -264,8 +265,9 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
     {
         let evaluator = opts(1).shared_evaluator();
         let exec = ExecContext::new(1);
-        for slot in exec.eval_points(&evaluator, &points) {
-            slot.expect("sweep is never cancelled");
+        for slot in exec.try_eval_points(&evaluator, &points) {
+            slot.expect("sweep is never cancelled")
+                .expect("evaluation failed");
         }
         let evals = evaluator.cached_ok();
         let to_point =

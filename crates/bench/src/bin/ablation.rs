@@ -15,7 +15,7 @@
 
 use hi_bench::ExpOptions;
 use hi_channel::{BodyLocation, ChannelParams};
-use hi_core::{explore_with_options, ExploreOptions, Problem};
+use hi_core::{explore_par, ExecContext, ExploreOptions, Problem};
 use hi_net::{simulate_averaged, FloodMode, MacKind, NetworkConfig, Routing, TxPower};
 
 fn main() {
@@ -71,18 +71,20 @@ fn flooding_modes(opts: &ExpOptions) {
 fn alpha_correction(opts: &ExpOptions) {
     println!("# Ablation 2: Algorithm 1 termination with/without the alpha correction");
     println!("pdr_min_pct\talpha\tbest_power_mw\tsims\tnote");
+    let exec = ExecContext::sequential();
     for pdr_min in [0.60, 0.80, 0.95] {
         let problem = Problem::paper_default(pdr_min);
         let mut with_power = None;
         for (label, alpha) in [("on", true), ("off", false)] {
-            let mut ev = opts.evaluator();
-            let out = explore_with_options(
+            let ev = opts.shared_evaluator();
+            let out = explore_par(
                 &problem,
-                &mut ev,
+                &ev,
                 ExploreOptions {
                     alpha_correction: alpha,
                     ..ExploreOptions::default()
                 },
+                &exec,
             )
             .expect("explore");
             let power = out.best.as_ref().map(|(_, e)| e.power_mw);

@@ -8,7 +8,7 @@
 //! ```
 
 use hi_bench::{optima_per_floor, parallel_sweep, ExpOptions};
-use hi_core::{explore, DesignSpace, Problem};
+use hi_core::{explore_par, DesignSpace, ExecContext, ExploreOptions, Problem};
 use std::time::Instant;
 
 fn main() {
@@ -30,12 +30,15 @@ fn main() {
 
     println!("# Experiment E1: simulations required, Algorithm 1 vs exhaustive");
     println!("pdr_min_pct\tsims_alg1\tsims_exhaustive\treduction_pct\tsame_optimum\talg1_time_s");
+    // Algorithm 1 timings measure one thread.
+    let exec = ExecContext::sequential();
     let mut reductions = Vec::new();
     for (&floor, (_, reference_best)) in floors.iter().zip(&reference) {
         let problem = Problem::paper_default(floor);
-        let mut evaluator = opts.evaluator();
+        let evaluator = opts.shared_evaluator();
         let t0 = Instant::now();
-        let outcome = explore(&problem, &mut evaluator).expect("explore");
+        let outcome =
+            explore_par(&problem, &evaluator, ExploreOptions::default(), &exec).expect("explore");
         let elapsed = t0.elapsed();
         let same = match (&outcome.best, reference_best) {
             (Some((_, a)), Some((_, b))) => (a.power_mw - b.power_mw).abs() < 1e-9,

@@ -11,7 +11,7 @@
 //! ```
 
 use hi_bench::ExpOptions;
-use hi_core::{explore, simulated_annealing, Problem, SaParams};
+use hi_core::{explore_par, simulated_annealing, ExecContext, ExploreOptions, Problem, SaParams};
 use std::time::Instant;
 
 fn main() {
@@ -27,20 +27,22 @@ fn main() {
     println!(
         "pdr_min_pct\talg1_sims\tsa_sims\talg1_time_s\tsa_time_s\tspeedup_time\tspeedup_sims\tsame_optimum"
     );
+    // Timings measure one thread, like the single-chain annealer.
+    let exec = ExecContext::sequential();
     let floors = [0.50, 0.60, 0.70, 0.80, 0.90, 0.95, 1.00];
     let mut time_ratios = Vec::new();
     let mut sim_ratios = Vec::new();
     for &floor in &floors {
         let problem = Problem::paper_default(floor);
 
-        let mut a1_ev = opts.evaluator();
+        let a1_ev = opts.shared_evaluator();
         let t0 = Instant::now();
-        let a1 = explore(&problem, &mut a1_ev).expect("explore");
+        let a1 = explore_par(&problem, &a1_ev, ExploreOptions::default(), &exec).expect("explore");
         let a1_time = t0.elapsed().as_secs_f64();
 
-        let mut sa_ev = opts.evaluator();
+        let sa_ev = opts.shared_evaluator();
         let t0 = Instant::now();
-        let sa = simulated_annealing(&problem, &mut sa_ev, sa_params, opts.seed ^ 0x5A);
+        let sa = simulated_annealing(&problem, &sa_ev, sa_params, opts.seed ^ 0x5A);
         let sa_time = t0.elapsed().as_secs_f64();
 
         let same = match (&a1.best, &sa.best) {

@@ -11,14 +11,15 @@
 use hi_net::AppParams;
 use hi_trace::wellknown as wk;
 
-use crate::checkpoint::ExploreCheckpoint;
+use crate::checkpoint::{ExploreCheckpoint, ENGINE_ALGORITHM1};
 use crate::constraints::DesignSpace;
-use crate::evaluator::{Evaluation, Evaluator, PointEvaluator};
-use crate::exhaustive::{best_feasible, improves};
+use crate::evaluator::{Evaluation, PointEvaluator};
+use crate::exhaustive::{best_feasible, improves, split_outcomes};
 use crate::milp_encode::MilpEncoding;
 use crate::parallel::ExecContext;
 use crate::point::DesignPoint;
 use crate::power::alpha;
+use crate::robust_milp::validate_resume;
 
 /// The optimization problem `P` (eq. 8): maximize lifetime subject to a
 /// reliability floor over a constrained design space.
@@ -105,7 +106,7 @@ impl ExplorationOutcome {
     }
 }
 
-/// Errors from [`explore`].
+/// Errors from [`explore_par`] and the other exploration engines.
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum ExploreError {
@@ -140,8 +141,8 @@ impl From<hi_milp::SolveError> for ExploreError {
     }
 }
 
-/// Tuning knobs for [`explore_with_options`]; the defaults reproduce the
-/// paper's Algorithm 1 exactly.
+/// Tuning knobs for [`explore_par`]; the defaults reproduce the paper's
+/// Algorithm 1 exactly.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExploreOptions {
     /// Apply the α divisor in the termination test (line 5). Disabling it
@@ -177,44 +178,12 @@ impl Default for ExploreOptions {
     }
 }
 
-/// Runs Algorithm 1 on `problem`, using `evaluator` as the `RunSim` oracle.
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the MILP solver fails (structurally
-/// impossible for well-formed problems; numerical safety valve).
-pub fn explore(
-    problem: &Problem,
-    evaluator: &mut dyn Evaluator,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_with_options(problem, evaluator, ExploreOptions::default())
-}
-
-/// [`explore`] with explicit [`ExploreOptions`] (ablation entry point).
-///
-/// # Errors
-///
-/// Returns [`ExploreError`] if the MILP solver fails.
-pub fn explore_with_options(
-    problem: &Problem,
-    evaluator: &mut dyn Evaluator,
-    options: ExploreOptions,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_impl(
-        problem,
-        options,
-        &mut SeqOracle(evaluator),
-        None,
-        &mut |_| (),
-    )
-}
-
-/// [`explore`] on the execution engine: each candidate level (the MILP's
-/// pool `S`) fans out over `exec`'s thread pool and the per-level
-/// reduction stays sequential over pool order, so the outcome — best
-/// point, iteration count, candidate count and simulation count — is
-/// bit-identical for every thread count (`threads == 1` runs the plain
-/// sequential loop).
+/// Runs Algorithm 1 on `problem`, using `evaluator` as the `RunSim`
+/// oracle. Each candidate level (the MILP's pool `S`) fans out over
+/// `exec`'s thread pool and the per-level reduction stays sequential over
+/// pool order, so the outcome — best point, iteration count, candidate
+/// count and simulation count — is bit-identical for every thread count
+/// (`threads == 1` runs the plain sequential loop).
 ///
 /// Cancelling `exec` stops in-flight candidate evaluations between tasks
 /// and breaks the loop with [`StopReason::Cancelled`]; the incumbent of
@@ -222,45 +191,33 @@ pub fn explore_with_options(
 ///
 /// # Errors
 ///
-/// Returns [`ExploreError`] if the MILP solver fails.
+/// Returns [`ExploreError`] if the MILP solver fails (structurally
+/// impossible for well-formed problems; numerical safety valve).
 pub fn explore_par<P: PointEvaluator>(
     problem: &Problem,
     evaluator: &P,
     options: ExploreOptions,
     exec: &ExecContext,
 ) -> Result<ExplorationOutcome, ExploreError> {
-    explore_par_from(problem, evaluator, options, exec, None)
+    explore_par_observed(problem, evaluator, options, exec, None, &mut |_| ())
 }
 
-/// [`explore_par`] resuming from a saved [`ExploreCheckpoint`]: the
-/// checkpoint's cut ladder is replayed into a fresh MILP encoding and its
-/// incumbent and effort counters are restored, so the continuation visits
-/// exactly the candidate levels the uninterrupted run would have visited
-/// next. Because levels are disjoint (each cut excludes the previous
-/// level), a checkpoint-and-resume pair performs the same total unique
-/// simulations — and reports the same outcome, bit for bit — as a single
-/// straight-through run.
+/// [`explore_par`] resuming from a saved [`ExploreCheckpoint`], with an
+/// auto-checkpoint observer.
 ///
-/// # Errors
+/// On resume, the checkpoint's cut ladder is replayed into a fresh MILP
+/// encoding and its incumbent and effort counters are restored, so the
+/// continuation visits exactly the candidate levels the uninterrupted
+/// run would have visited next. Because levels are disjoint (each cut
+/// excludes the previous level), a checkpoint-and-resume pair performs
+/// the same total unique simulations — and reports the same outcome, bit
+/// for bit — as a single straight-through run.
 ///
-/// Returns [`ExploreError::Checkpoint`] if the checkpoint was recorded
-/// under a different `pdr_min` or `alpha_correction` than this call, and
-/// [`ExploreError::Milp`] if the MILP solver fails.
-pub fn explore_par_from<P: PointEvaluator>(
-    problem: &Problem,
-    evaluator: &P,
-    options: ExploreOptions,
-    exec: &ExecContext,
-    resume: Option<&ExploreCheckpoint>,
-) -> Result<ExplorationOutcome, ExploreError> {
-    explore_par_observed(problem, evaluator, options, exec, resume, &mut |_| ())
-}
-
-/// [`explore_par_from`] with an auto-checkpoint observer: every
-/// [`ExploreOptions::checkpoint_every`] completed iterations, `observer`
-/// receives a snapshot of the full exploration state (taken after that
-/// level's power cut, so it resumes bit-identically). The observer is the
-/// persistence policy — the CLI writes each snapshot crash-safely via
+/// Every [`ExploreOptions::checkpoint_every`] completed iterations,
+/// `observer` receives a snapshot of the full exploration state (taken
+/// after that level's power cut, so it resumes bit-identically). The
+/// observer is the persistence policy — the CLI writes each snapshot
+/// crash-safely via
 /// [`ExploreCheckpoint::write_atomic`](crate::ExploreCheckpoint::write_atomic);
 /// tests collect them in memory. Observer calls happen on the driving
 /// thread, between iterations, so they never perturb evaluation order.
@@ -268,8 +225,9 @@ pub fn explore_par_from<P: PointEvaluator>(
 /// # Errors
 ///
 /// Returns [`ExploreError::Checkpoint`] if the checkpoint was recorded
-/// under a different `pdr_min` or `alpha_correction` than this call, and
-/// [`ExploreError::Milp`] if the MILP solver fails.
+/// by another engine or under a different `pdr_min` or
+/// `alpha_correction` than this call, and [`ExploreError::Milp`] if the
+/// MILP solver fails.
 pub fn explore_par_observed<P: PointEvaluator>(
     problem: &Problem,
     evaluator: &P,
@@ -278,120 +236,15 @@ pub fn explore_par_observed<P: PointEvaluator>(
     resume: Option<&ExploreCheckpoint>,
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<ExplorationOutcome, ExploreError> {
-    if let Some(cp) = resume {
-        if cp.engine != crate::checkpoint::ENGINE_ALGORITHM1 {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint was recorded by engine `{}`, this run uses `{}`",
-                cp.engine,
-                crate::checkpoint::ENGINE_ALGORITHM1
-            )));
-        }
-        if cp.pdr_min.to_bits() != problem.pdr_min.to_bits() {
-            return Err(ExploreError::Checkpoint(format!(
-                "checkpoint was recorded at pdr_min = {}, this run uses {}",
-                cp.pdr_min, problem.pdr_min
-            )));
-        }
-        if cp.alpha_correction != options.alpha_correction {
-            return Err(ExploreError::Checkpoint(
-                "checkpoint and this run disagree on alpha_correction".into(),
-            ));
-        }
-    }
-    explore_impl(
-        problem,
-        options,
-        &mut ParOracle {
-            evaluator,
-            exec,
-            eval_errors: 0,
-        },
-        resume,
-        observer,
-    )
+    validate_resume(resume, ENGINE_ALGORITHM1, problem, options)?;
+    explore_impl(problem, options, evaluator, exec, resume, observer)
 }
 
-/// How `explore_impl` measures candidate levels: sequentially through a
-/// `&mut dyn Evaluator`, or batched over the execution engine.
-trait CandidateOracle {
-    /// Evaluates one candidate level in pool order. `None` entries mark
-    /// candidates skipped because of cancellation.
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>>;
-    /// The evaluator's unique-simulation counter.
-    fn unique_evaluations(&self) -> u64;
-    /// Whether the search has been cancelled.
-    fn cancelled(&self) -> bool;
-    /// Candidates whose evaluation failed so far (0 for oracles that
-    /// cannot observe failures).
-    fn eval_errors(&self) -> u64 {
-        0
-    }
-}
-
-struct SeqOracle<'a>(&'a mut dyn Evaluator);
-
-impl CandidateOracle for SeqOracle<'_> {
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>> {
-        hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
-        pool.iter().map(|p| Some(self.0.evaluate(p))).collect()
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        self.0.unique_evaluations()
-    }
-
-    fn cancelled(&self) -> bool {
-        false
-    }
-}
-
-struct ParOracle<'a, P: PointEvaluator> {
-    evaluator: &'a P,
-    exec: &'a ExecContext,
-    eval_errors: u64,
-}
-
-impl<P: PointEvaluator> CandidateOracle for ParOracle<'_, P> {
-    fn eval_level(&mut self, pool: &[DesignPoint]) -> Vec<Option<Evaluation>> {
-        // A failed candidate degrades to an empty slot: it is excluded
-        // from the level (it cannot be elected incumbent) and counted,
-        // while every healthy candidate still completes.
-        hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
-        let errors_before = self.eval_errors;
-        let level: Vec<Option<Evaluation>> = self
-            .exec
-            .try_eval_points(self.evaluator, pool)
-            .into_iter()
-            .map(|slot| match slot {
-                Some(Ok(eval)) => Some(eval),
-                Some(Err(_)) => {
-                    self.eval_errors += 1;
-                    None
-                }
-                None => None,
-            })
-            .collect();
-        hi_trace::counter(wk::CORE_EVAL_ERRORS, self.eval_errors - errors_before);
-        level
-    }
-
-    fn unique_evaluations(&self) -> u64 {
-        self.evaluator.unique_evaluations()
-    }
-
-    fn cancelled(&self) -> bool {
-        self.exec.is_cancelled()
-    }
-
-    fn eval_errors(&self) -> u64 {
-        self.eval_errors
-    }
-}
-
-fn explore_impl(
+fn explore_impl<P: PointEvaluator>(
     problem: &Problem,
     options: ExploreOptions,
-    oracle: &mut dyn CandidateOracle,
+    evaluator: &P,
+    exec: &ExecContext,
     resume: Option<&ExploreCheckpoint>,
     observer: &mut dyn FnMut(&ExploreCheckpoint),
 ) -> Result<ExplorationOutcome, ExploreError> {
@@ -416,17 +269,17 @@ fn explore_impl(
         candidates_proposed = cp.candidates_proposed;
         prior_sims = cp.simulations;
     }
-    let sims_before = oracle.unique_evaluations();
-    let sims_spent =
-        |oracle: &dyn CandidateOracle| prior_sims + (oracle.unique_evaluations() - sims_before);
+    let mut eval_errors = 0u64;
+    let sims_before = evaluator.unique_evaluations();
+    let sims_spent = || prior_sims + (evaluator.unique_evaluations() - sims_before);
 
     let stop_reason = loop {
-        if oracle.cancelled() {
+        if exec.is_cancelled() {
             break StopReason::Cancelled;
         }
         // Graceful degradation: out of simulation budget means stop
         // *before* starting another level, keeping best-so-far intact.
-        if options.budget.is_some_and(|b| sims_spent(oracle) >= b) {
+        if options.budget.is_some_and(|b| sims_spent() >= b) {
             break StopReason::BudgetExhausted;
         }
         let mut iter_span = hi_trace::span("algo1.iteration");
@@ -460,24 +313,26 @@ fn explore_impl(
 
         // Line 7: RunSim(S); line 8: Sort. The reduction walks pool order,
         // so the level best (ties: lowest power, then first in pool order)
-        // is independent of evaluation scheduling.
-        let evals = {
+        // is independent of evaluation scheduling. A failed candidate is
+        // excluded from the level (it cannot be elected incumbent) and
+        // counted, while every healthy candidate still completes.
+        let level = {
             let mut s = hi_trace::span("algo1.eval_level");
             if s.is_recording() {
                 s.arg("candidates", pool.len() as u64);
             }
-            oracle.eval_level(&pool)
+            hi_trace::counter(wk::CORE_EVALS, pool.len() as u64);
+            let (level, level_errors) =
+                split_outcomes(&pool, exec.try_eval_points(evaluator, &pool));
+            eval_errors += level_errors;
+            hi_trace::counter(wk::CORE_EVAL_ERRORS, level_errors);
+            level
         };
-        if oracle.cancelled() {
+        if exec.is_cancelled() {
             // A partially evaluated level could elect a wrong level-best;
             // discard it and report the incumbent so far.
             break StopReason::Cancelled;
         }
-        let level: Vec<(DesignPoint, Evaluation)> = pool
-            .iter()
-            .zip(evals)
-            .filter_map(|(point, eval)| eval.map(|e| (*point, e)))
-            .collect();
         // Lines 9-10: update the incumbent.
         if let Some((pt, ev)) = best_feasible(&level, problem.pdr_min) {
             if best.as_ref().is_none_or(|(_, b)| !improves(b, &ev)) {
@@ -508,13 +363,13 @@ fn explore_impl(
             .is_some_and(|k| k > 0 && iterations.is_multiple_of(k))
         {
             observer(&ExploreCheckpoint {
-                engine: crate::checkpoint::ENGINE_ALGORITHM1.to_string(),
+                engine: ENGINE_ALGORITHM1.to_string(),
                 pdr_min: problem.pdr_min,
                 alpha_correction: options.alpha_correction,
                 cuts: cuts.clone(),
                 iterations,
                 candidates_proposed,
-                simulations: sims_spent(oracle),
+                simulations: sims_spent(),
                 best,
             });
         }
@@ -524,8 +379,8 @@ fn explore_impl(
         best,
         iterations,
         candidates_proposed,
-        simulations: sims_spent(oracle),
-        eval_errors: oracle.eval_errors(),
+        simulations: sims_spent(),
+        eval_errors,
         cuts,
         stop_reason,
     })
@@ -563,10 +418,20 @@ mod tests {
         }
     }
 
+    /// Algorithm 1 on the sequential context. The context turns an
+    /// oracle panic into a degraded candidate, so a clean run must also
+    /// report zero evaluation errors.
+    fn explore_seq<P: PointEvaluator>(problem: &Problem, evaluator: &P) -> ExplorationOutcome {
+        let exec = ExecContext::sequential();
+        let out = explore_par(problem, evaluator, ExploreOptions::default(), &exec).unwrap();
+        assert_eq!(out.eval_errors, 0, "oracle evaluations failed");
+        out
+    }
+
     fn run(pdr_min: f64) -> (ExplorationOutcome, u64) {
         let problem = Problem::paper_default(pdr_min);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let out = explore(&problem, &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let out = explore_seq(&problem, &ev);
         let sims = ev.unique_evaluations();
         (out, sims)
     }
@@ -608,12 +473,12 @@ mod tests {
     fn impossible_reliability_reported_infeasible() {
         // Oracle never exceeds 1.0 but a floor above every reachable pdr:
         let problem = Problem::paper_default(1.0);
-        let mut ev = FnEvaluator::new(|p| {
+        let ev = FnEvaluator::new(|p: &DesignPoint| {
             let mut e = ladder_oracle(p);
             e.pdr = e.pdr.min(0.99); // nothing reaches 1.0
             e
         });
-        let out = explore(&problem, &mut ev).unwrap();
+        let out = explore_seq(&problem, &ev);
         assert!(out.best.is_none());
         assert_eq!(out.stop_reason, StopReason::MilpExhausted);
     }
@@ -644,8 +509,8 @@ mod tests {
     fn optimum_maximizes_nlt_among_feasible_points() {
         // Brute-force the oracle over the whole space and compare.
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(ladder_oracle);
-        let out = explore(&problem, &mut ev).unwrap();
+        let ev = FnEvaluator::new(ladder_oracle);
+        let out = explore_seq(&problem, &ev);
         let (_, got) = out.best.unwrap();
 
         let best_nlt = problem

@@ -3,8 +3,10 @@
 //! This is the reference the paper measures its "87% reduction in the
 //! number of required simulations" against.
 
+use hi_exec::EvalError;
+
 use crate::algorithm1::Problem;
-use crate::evaluator::{Evaluation, Evaluator, PointEvaluator};
+use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::parallel::ExecContext;
 use crate::point::DesignPoint;
 
@@ -34,42 +36,50 @@ pub(crate) fn best_feasible<'a>(
     best
 }
 
+/// Splits a batch's result slots into the successful `(point,
+/// evaluation)` pairs, in input order, and the number of failed
+/// evaluations. Slots skipped by cancellation (`None`) count as neither.
+pub(crate) fn split_outcomes(
+    points: &[DesignPoint],
+    slots: Vec<Option<Result<Evaluation, EvalError>>>,
+) -> (Vec<(DesignPoint, Evaluation)>, u64) {
+    let mut ok = Vec::with_capacity(points.len());
+    let mut errors = 0u64;
+    for (point, slot) in points.iter().zip(slots) {
+        match slot {
+            Some(Ok(eval)) => ok.push((*point, eval)),
+            Some(Err(_)) => errors += 1,
+            None => {}
+        }
+    }
+    (ok, errors)
+}
+
 /// Result of an exhaustive sweep.
 #[derive(Debug, Clone)]
 pub struct ExhaustiveOutcome {
     /// The lifetime-optimal reliability-feasible point, if any.
     pub best: Option<(DesignPoint, Evaluation)>,
-    /// Every `(point, evaluation)` pair, in enumeration order — the raw
-    /// material of the paper's Fig. 3 scatter.
+    /// Every successful `(point, evaluation)` pair, in enumeration order
+    /// — the raw material of the paper's Fig. 3 scatter.
     pub evaluations: Vec<(DesignPoint, Evaluation)>,
     /// Unique simulations run.
     pub simulations: u64,
+    /// Points whose evaluation failed (panicking simulation, exceeded
+    /// event budget). Failed points are left out of `evaluations` and
+    /// the sweep carries on; a nonzero count flags degraded results.
+    pub eval_errors: u64,
 }
 
 /// Evaluates every point of the problem's design space and returns the
-/// best feasible one along with the full sweep.
-///
-/// Best-point selection follows the crate-wide tie-break: lowest
-/// `power_mw`, ties resolved to the first point in enumeration order.
-pub fn exhaustive_search(problem: &Problem, evaluator: &mut dyn Evaluator) -> ExhaustiveOutcome {
-    let before = evaluator.unique_evaluations();
-    let mut evaluations = Vec::new();
-    for point in problem.space.points() {
-        let eval = evaluator.evaluate(&point);
-        evaluations.push((point, eval));
-    }
-    ExhaustiveOutcome {
-        best: best_feasible(&evaluations, problem.pdr_min),
-        evaluations,
-        simulations: evaluator.unique_evaluations() - before,
-    }
-}
-
-/// [`exhaustive_search`] on the execution engine: the sweep fans out over
+/// best feasible one along with the full sweep. The sweep fans out over
 /// `exec`'s thread pool while the reduction stays sequential over
 /// enumeration order, so the outcome — points, evaluations, best point
 /// and simulation count — is bit-identical for every thread count
 /// (`threads == 1` runs the plain sequential loop).
+///
+/// Best-point selection follows the crate-wide tie-break: lowest
+/// `power_mw`, ties resolved to the first point in enumeration order.
 ///
 /// If `exec` is cancelled mid-sweep, the outcome covers the evaluations
 /// that completed (a best-effort partial sweep, no longer guaranteed to
@@ -81,16 +91,13 @@ pub fn exhaustive_search_par<P: PointEvaluator>(
 ) -> ExhaustiveOutcome {
     let before = evaluator.unique_evaluations();
     let points = problem.space.points();
-    let evals = exec.eval_points(evaluator, &points);
-    let evaluations: Vec<(DesignPoint, Evaluation)> = points
-        .into_iter()
-        .zip(evals)
-        .filter_map(|(point, eval)| eval.map(|e| (point, e)))
-        .collect();
+    let (evaluations, eval_errors) =
+        split_outcomes(&points, exec.try_eval_points(evaluator, &points));
     ExhaustiveOutcome {
         best: best_feasible(&evaluations, problem.pdr_min),
         evaluations,
         simulations: evaluator.unique_evaluations() - before,
+        eval_errors,
     }
 }
 
@@ -100,6 +107,15 @@ mod tests {
     use crate::evaluator::FnEvaluator;
     use crate::power::analytic_power_mw;
     use hi_net::AppParams;
+
+    /// The sweep on the sequential context. The context turns an oracle
+    /// panic into a failed point, so a clean sweep must report zero
+    /// evaluation errors.
+    fn sweep<P: PointEvaluator>(problem: &Problem, evaluator: &P) -> ExhaustiveOutcome {
+        let out = exhaustive_search_par(problem, evaluator, &ExecContext::sequential());
+        assert_eq!(out.eval_errors, 0, "oracle evaluations failed");
+        out
+    }
 
     fn oracle(point: &DesignPoint) -> Evaluation {
         let app = AppParams::default();
@@ -119,8 +135,8 @@ mod tests {
     #[test]
     fn sweeps_whole_space() {
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = exhaustive_search(&problem, &mut ev);
+        let ev = FnEvaluator::new(oracle);
+        let out = sweep(&problem, &ev);
         assert_eq!(out.evaluations.len(), 1320);
         assert_eq!(out.simulations, 1320);
         let (pt, _) = out.best.unwrap();
@@ -135,21 +151,21 @@ mod tests {
         // tie-break must pick the very first enumerated point, no matter
         // what order evaluations complete in.
         let problem = Problem::paper_default(0.0);
-        let mut ev = FnEvaluator::new(|_: &DesignPoint| Evaluation {
+        let ev = FnEvaluator::new(|_: &DesignPoint| Evaluation {
             pdr: 1.0,
             nlt_days: 1.0,
             power_mw: 1.0,
             latency_ms: 1.0,
         });
-        let out = exhaustive_search(&problem, &mut ev);
+        let out = sweep(&problem, &ev);
         assert_eq!(out.best.unwrap().0, problem.space.points()[0]);
     }
 
     #[test]
     fn reports_infeasible_when_nothing_qualifies() {
         let problem = Problem::paper_default(0.99);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = exhaustive_search(&problem, &mut ev);
+        let ev = FnEvaluator::new(oracle);
+        let out = sweep(&problem, &ev);
         assert!(out.best.is_none());
         assert_eq!(out.evaluations.len(), 1320);
     }

@@ -11,7 +11,7 @@ use hi_des::rng;
 use hi_net::TxPower;
 
 use crate::algorithm1::Problem;
-use crate::evaluator::{Evaluation, Evaluator, SharedSimEvaluator};
+use crate::evaluator::{Evaluation, PointEvaluator};
 use crate::exhaustive::improves;
 use crate::parallel::ExecContext;
 use crate::point::{DesignPoint, MacChoice, Placement, RouteChoice};
@@ -51,18 +51,24 @@ pub struct SaOutcome {
     pub simulations: u64,
 }
 
-/// Runs simulated annealing on `problem`.
+/// Runs one simulated-annealing chain on `problem`, seeded by `seed`.
 ///
 /// # Panics
 ///
-/// Panics if the problem's design space is empty.
-pub fn simulated_annealing(
+/// Panics if the problem's design space is empty, or if an evaluation
+/// fails (the annealer has no fallback for a state it cannot measure).
+pub fn simulated_annealing<P: PointEvaluator>(
     problem: &Problem,
-    evaluator: &mut dyn Evaluator,
+    evaluator: &P,
     params: SaParams,
     seed: u64,
 ) -> SaOutcome {
     let before = evaluator.unique_evaluations();
+    let evaluate = |point: &DesignPoint| {
+        evaluator
+            .try_eval(point)
+            .unwrap_or_else(|e| panic!("evaluation of {point} failed: {e}"))
+    };
     let mut rng = rng::stream(seed, 0x5A5A);
     let constraints = problem.space.constraints().clone();
     let placements = constraints.feasible_placements();
@@ -83,7 +89,7 @@ pub fn simulated_annealing(
         mac: MacChoice::ALL[rng.gen_range(0..2)],
         routing: RouteChoice::ALL[rng.gen_range(0..2)],
     };
-    let mut current_eval = evaluator.evaluate(&current);
+    let mut current_eval = evaluate(&current);
     let mut current_energy = energy(&current_eval);
 
     let mut best: Option<(DesignPoint, Evaluation)> = feasible(problem, current, current_eval);
@@ -92,7 +98,7 @@ pub fn simulated_annealing(
     let mut temperature = params.t_start;
     for _ in 0..params.steps {
         let candidate = neighbor(&current, &constraints, &mut rng);
-        let eval = evaluator.evaluate(&candidate);
+        let eval = evaluate(&candidate);
         let e = energy(&eval);
         let accept =
             e < current_energy || rng.gen_f64() < ((current_energy - e) / temperature).exp();
@@ -101,10 +107,7 @@ pub fn simulated_annealing(
             current_eval = eval;
             current_energy = e;
             if let Some(fb) = feasible(problem, current, current_eval) {
-                let better = best
-                    .as_ref()
-                    .is_none_or(|(_, b)| fb.1.power_mw < b.power_mw);
-                if better {
+                if best.as_ref().is_none_or(|(_, b)| improves(&fb.1, b)) {
                     best = Some(fb);
                 }
             }
@@ -134,14 +137,16 @@ pub fn simulated_annealing(
 /// simulations across the whole restart batch.
 ///
 /// Cancelling `exec` skips chains that have not started; finished chains
-/// still contribute to `best`.
+/// still contribute to `best`, and `steps` counts only the chains that
+/// ran.
 ///
 /// # Panics
 ///
-/// Panics if `restarts == 0` or the problem's design space is empty.
-pub fn simulated_annealing_restarts(
+/// Panics if `restarts == 0`, the problem's design space is empty, or an
+/// evaluation fails.
+pub fn simulated_annealing_restarts<P: PointEvaluator>(
     problem: &Problem,
-    evaluator: &SharedSimEvaluator,
+    evaluator: &P,
     params: SaParams,
     base_seed: u64,
     restarts: u32,
@@ -156,10 +161,11 @@ pub fn simulated_annealing_restarts(
         let problem = problem.clone();
         let evaluator = evaluator.clone();
         exec.map_cancellable(seeds, move |seed| {
-            let mut ev = evaluator.clone();
-            simulated_annealing(&problem, &mut ev, params, seed).best
+            simulated_annealing(&problem, &evaluator, params, seed).best
         })
     };
+    // At most `restarts` chains, so the count fits a u32.
+    let chains_run = chain_bests.iter().filter(|chain| chain.is_some()).count() as u32;
     let mut best: Option<(DesignPoint, Evaluation)> = None;
     for chain_best in chain_bests.into_iter().flatten().flatten() {
         if best
@@ -171,7 +177,7 @@ pub fn simulated_annealing_restarts(
     }
     SaOutcome {
         best,
-        steps: params.steps.saturating_mul(restarts),
+        steps: params.steps.saturating_mul(chains_run),
         simulations: evaluator.unique_evaluations() - before,
     }
 }
@@ -257,8 +263,8 @@ mod tests {
     #[test]
     fn finds_a_feasible_solution() {
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
-        let out = simulated_annealing(&problem, &mut ev, SaParams::default(), 3);
+        let ev = FnEvaluator::new(oracle);
+        let out = simulated_annealing(&problem, &ev, SaParams::default(), 3);
         let (pt, e) = out.best.expect("SA should find a feasible point");
         assert!(e.pdr >= 0.9);
         assert_eq!(pt.tx_power, TxPower::ZeroDbm);
@@ -268,10 +274,10 @@ mod tests {
     fn converges_to_cheapest_feasible_class() {
         // With enough steps SA should land on the 4-node 0 dBm star.
         let problem = Problem::paper_default(0.9);
-        let mut ev = FnEvaluator::new(oracle);
+        let ev = FnEvaluator::new(oracle);
         let out = simulated_annealing(
             &problem,
-            &mut ev,
+            &ev,
             SaParams {
                 steps: 2000,
                 ..Default::default()
@@ -288,22 +294,22 @@ mod tests {
     fn respects_constraints_during_search() {
         let problem = Problem::paper_default(0.5);
         let constraints = problem.space.constraints().clone();
-        let mut ev = FnEvaluator::new(move |p: &DesignPoint| {
+        let ev = FnEvaluator::new(move |p: &DesignPoint| {
             assert!(
                 constraints.is_satisfied(p.placement),
                 "SA evaluated infeasible placement {p}"
             );
             oracle(p)
         });
-        let _ = simulated_annealing(&problem, &mut ev, SaParams::default(), 9);
+        let _ = simulated_annealing(&problem, &ev, SaParams::default(), 9);
     }
 
     #[test]
     fn deterministic_per_seed() {
         let problem = Problem::paper_default(0.7);
         let run = |seed| {
-            let mut ev = FnEvaluator::new(oracle);
-            simulated_annealing(&problem, &mut ev, SaParams::default(), seed)
+            let ev = FnEvaluator::new(oracle);
+            simulated_annealing(&problem, &ev, SaParams::default(), seed)
                 .best
                 .map(|(p, _)| p)
         };
@@ -316,11 +322,18 @@ mod tests {
         // optimum. With memoized oracles, compare unique evaluations.
         let problem = Problem::paper_default(0.9);
 
-        let mut sa_ev = FnEvaluator::new(oracle);
-        let sa = simulated_annealing(&problem, &mut sa_ev, SaParams::default(), 1);
+        let sa_ev = FnEvaluator::new(oracle);
+        let sa = simulated_annealing(&problem, &sa_ev, SaParams::default(), 1);
 
-        let mut a1_ev = FnEvaluator::new(oracle);
-        let a1 = crate::algorithm1::explore(&problem, &mut a1_ev).unwrap();
+        let a1_ev = FnEvaluator::new(oracle);
+        let a1 = crate::algorithm1::explore_par(
+            &problem,
+            &a1_ev,
+            crate::ExploreOptions::default(),
+            &ExecContext::sequential(),
+        )
+        .unwrap();
+        assert_eq!(a1.eval_errors, 0, "oracle evaluations failed");
 
         assert_eq!(
             sa.best.as_ref().map(|(_, e)| e.power_mw),
@@ -333,5 +346,17 @@ mod tests {
             sa.simulations,
             a1.simulations
         );
+    }
+
+    #[test]
+    fn cancelled_restarts_count_no_steps() {
+        let problem = Problem::paper_default(0.9);
+        let ev = FnEvaluator::new(oracle);
+        let exec = ExecContext::sequential();
+        exec.cancel_token().cancel();
+        let out = simulated_annealing_restarts(&problem, &ev, SaParams::default(), 1, 4, &exec);
+        assert!(out.best.is_none());
+        assert_eq!(out.steps, 0, "no chain ran");
+        assert_eq!(out.simulations, 0);
     }
 }

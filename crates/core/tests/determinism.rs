@@ -7,7 +7,7 @@
 //! compare outcomes field by field.
 
 use hi_core::{
-    exhaustive_search, exhaustive_search_par, explore_par, explore_par_from, explore_tradeoff_par,
+    exhaustive_search_par, explore_par, explore_par_observed, explore_tradeoff_par,
     simulated_annealing_restarts, DesignPoint, EvalError, Evaluation, ExecContext,
     ExhaustiveOutcome, ExploreCheckpoint, ExploreError, ExploreOptions, PointEvaluator, Problem,
     SaParams, SimProtocol, StopReason,
@@ -53,21 +53,6 @@ fn exhaustive_search_is_bit_identical_across_thread_counts() {
             "{threads} threads changed the unique-simulation count"
         );
     }
-}
-
-#[test]
-fn parallel_exhaustive_matches_the_sequential_engine() {
-    let problem = Problem::paper_default(0.7);
-    let mut sequential_eval = protocol().evaluator();
-    let sequential = exhaustive_search(&problem, &mut sequential_eval);
-
-    let exec = ExecContext::new(4);
-    let evaluator = protocol().shared_evaluator();
-    let parallel = exhaustive_search_par(&problem, &evaluator, &exec);
-
-    assert_same_best(&sequential.best, &parallel.best);
-    assert_eq!(sequential.evaluations, parallel.evaluations);
-    assert_eq!(sequential.simulations, parallel.simulations);
 }
 
 #[test]
@@ -316,12 +301,13 @@ fn checkpoint_resume_is_bit_identical_to_a_straight_through_run() {
     // straight-through run bit for bit.
     let exec = ExecContext::new(2);
     let evaluator = protocol().shared_evaluator();
-    let resumed = explore_par_from(
+    let resumed = explore_par_observed(
         &problem,
         &evaluator,
         ExploreOptions::default(),
         &exec,
         Some(&restored),
+        &mut |_| (),
     )
     .unwrap();
     assert_same_best(&straight.best, &resumed.best);
@@ -348,12 +334,13 @@ fn resume_rejects_a_checkpoint_from_a_different_problem() {
     let other = Problem::paper_default(0.9);
     let exec = ExecContext::sequential();
     let evaluator = protocol().shared_evaluator();
-    let err = explore_par_from(
+    let err = explore_par_observed(
         &other,
         &evaluator,
         ExploreOptions::default(),
         &exec,
         Some(&checkpoint),
+        &mut |_| (),
     )
     .unwrap_err();
     assert!(matches!(err, ExploreError::Checkpoint(_)), "got {err:?}");
@@ -627,12 +614,13 @@ fn resume_from_a_mid_run_auto_checkpoint_is_bit_identical() {
         let restored = ExploreCheckpoint::from_text(&snapshot.to_text()).unwrap();
         let exec = ExecContext::new(2);
         let evaluator = protocol().shared_evaluator();
-        let resumed = explore_par_from(
+        let resumed = explore_par_observed(
             &problem,
             &evaluator,
             ExploreOptions::default(),
             &exec,
             Some(&restored),
+            &mut |_| (),
         )
         .unwrap();
         assert_same_best(&straight.best, &resumed.best);

@@ -288,9 +288,9 @@ pub fn run_profile(
             ProfileOutcome {
                 best: out.best,
                 iterations: 0,
-                candidates: out.evaluations.len() as u64,
+                candidates: out.evaluations.len() as u64 + out.eval_errors,
                 simulations: out.simulations,
-                eval_errors: 0,
+                eval_errors: out.eval_errors,
                 stop_reason: None,
                 cache_hits: 0,
                 cache_misses: 0,
@@ -456,6 +456,32 @@ mod tests {
                 .filter(|l| !l.starts_with("simulations") && !l.starts_with("candidates"))
                 .collect::<Vec<_>>(),
         );
+    }
+
+    #[test]
+    fn exhaustive_job_survives_failed_evaluations() {
+        // A 3-event budget fails every point with DeadlineExceeded; the
+        // job must still complete and report the failures.
+        let mut profile = quick("starved");
+        profile.engine = EngineChoice::Exhaustive;
+        let evaluator = FleetEvaluator::Nominal(
+            profile
+                .protocol()
+                .with_max_events(Some(3))
+                .shared_evaluator(),
+        );
+        let exec = ExecContext::sequential();
+        let out = run_profile(
+            &profile,
+            &evaluator,
+            &exec,
+            RunPolicy::default(),
+            None,
+            &mut |_| {},
+        )
+        .expect("a failed evaluation must not fail the job");
+        assert_eq!(out.eval_errors, 1320);
+        assert!(out.best.is_none());
     }
 
     #[test]

@@ -6,9 +6,8 @@
 //! cargo run --release -p hi-opt --example quickstart
 //! ```
 
-use hi_opt::channel::ChannelParams;
 use hi_opt::des::SimDuration;
-use hi_opt::{explore, Problem, SimEvaluator};
+use hi_opt::{explore_par, ExecContext, ExploreOptions, Problem, SimProtocol};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // The paper's design example (§4.1): 10 candidate body sites, chest +
@@ -20,15 +19,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Evaluation protocol: the paper runs 3 x 600 s per candidate. Here we
     // use 3 x 60 s so the example finishes in seconds; bump `t_sim` for
     // paper-grade accuracy (<0.5% metric error).
-    let mut evaluator = SimEvaluator::new(
-        ChannelParams::default(),
-        SimDuration::from_secs(60.0),
-        3,
-        0xC0FFEE,
-    );
+    let evaluator = SimProtocol::new(SimDuration::from_secs(60.0), 3, 0xC0FFEE).shared_evaluator();
+    // Candidate levels fan out over HI_EXEC_THREADS (default: all cores);
+    // the outcome is the same for any thread count.
+    let exec = ExecContext::from_env();
 
     println!("exploring {} candidate configurations ...", 1320);
-    let outcome = explore(&problem, &mut evaluator)?;
+    let outcome = explore_par(&problem, &evaluator, ExploreOptions::default(), &exec)?;
 
     match outcome.best {
         Some((point, eval)) => {
