@@ -459,6 +459,29 @@ sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_cold.txt | grep -v '^total' 
 sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_warm.txt | grep -v '^total' \
     > /tmp/hi_ci_trade_warm_front.txt
 diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_warm_front.txt
+# A torn archive segment is not this physics' whole front: cutting 30
+# bytes off its tail makes the next run sweep cold (it pays for
+# simulations again) and rewrite the identical front.
+SEG=$(ls /tmp/hi_ci_tradearch/front-*.seg)
+truncate -s -30 "$SEG"
+target/release/hi-opt tradeoff --tsim 2 --runs 1 --archive /tmp/hi_ci_tradearch \
+    > /tmp/hi_ci_trade_torn.txt
+if grep -q '^total unique simulations: 0$' /tmp/hi_ci_trade_torn.txt; then
+    echo "torn archive segment was served warm" >&2
+    exit 1
+fi
+sed -n '/^pareto front/,/^total/p' /tmp/hi_ci_trade_torn.txt | grep -v '^total' \
+    > /tmp/hi_ci_trade_torn_front.txt
+diff /tmp/hi_ci_trade_cold_front.txt /tmp/hi_ci_trade_torn_front.txt
+
+# One durable-file layer: renames and fsyncs live only in
+# hi_core::durable (the atomic writer) and the framed store (its
+# append fsync and quarantine rename), so no format grows its own
+# crash-safety code again.
+FSYNC_SITES=$(grep -rc --include='*.rs' -e 'fs::rename' -e 'sync_all' crates/*/src \
+    | grep -v ':0$' | sort)
+[ "$FSYNC_SITES" = "crates/core/src/durable.rs:3
+crates/serve/src/store.rs:2" ]
 
 HI_BENCH_QUICK=1 cargo bench
 

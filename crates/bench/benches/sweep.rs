@@ -290,19 +290,19 @@ profile dave\ntsim 2\nruns 1\nseed 7\npdrmin 0.9\ngeometry 1.15\ntraffic 25 64\n
         let archive = build();
         let build_s = t0.elapsed().as_secs_f64();
         let front = archive.front();
-        let segment = hi_serve::render_front_segment(0x42, &front);
+        let segment = hi_serve::FrontStore::render(0x42, &front);
         runner.bench(&format!("pareto_front_hydrate_{}pts", front.len()), || {
-            let load = hi_serve::parse_front_segment(&segment).expect("bench segment is valid");
+            let load = hi_serve::FrontStore::parse(&segment).expect("bench segment is valid");
             let mut warm = hi_pareto::ParetoArchive::new(hi_pareto::ArchiveConfig::default());
-            for point in load.points {
+            for point in load.items {
                 warm.insert(point);
             }
             assert_eq!(warm.len(), front.len(), "hydration changed the front");
         });
         let t1 = Instant::now();
-        let load = hi_serve::parse_front_segment(&segment).expect("bench segment is valid");
+        let load = hi_serve::FrontStore::parse(&segment).expect("bench segment is valid");
         let mut warm = hi_pareto::ParetoArchive::new(hi_pareto::ArchiveConfig::default());
-        for point in load.points {
+        for point in load.items {
             warm.insert(point);
         }
         let hydrate_s = t1.elapsed().as_secs_f64();

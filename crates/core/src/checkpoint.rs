@@ -22,12 +22,13 @@
 //! the process dying mid-write:
 //!
 //! * [`to_text`](ExploreCheckpoint::to_text) ends the file with a
-//!   `crc32 <8 hex digits>` trailer over every byte through the `end`
-//!   line, so truncation and bit rot are *detected*, never resumed from;
-//! * [`write_atomic`](ExploreCheckpoint::write_atomic) stages the bytes
-//!   in a `.tmp` sibling, fsyncs, rotates any previous checkpoint to
-//!   `.prev`, then renames into place — a reader observes either the old
-//!   intact file or the new intact file, never a torn one;
+//!   `crc32 <8 hex digits>` trailer ([`durable::seal`]) over every byte
+//!   through the `end` line, so truncation and bit rot are *detected*,
+//!   never resumed from;
+//! * [`write_atomic`](ExploreCheckpoint::write_atomic) goes through
+//!   [`durable::write_atomic`] (`.tmp`, fsync, `.prev` rotation, rename),
+//!   so a reader observes either the old intact file or the new intact
+//!   file, never a torn one;
 //! * [`load_recovering`] falls back to the `.prev` rotation when the
 //!   primary file is unusable, reporting exactly what was wrong with the
 //!   primary ([`CheckpointRecovery::fallback`]); when both are unusable
@@ -38,9 +39,9 @@
 //! Version 1 files (no trailer) still parse, so pre-v2 checkpoints
 //! remain resumable.
 
-use std::path::{Path, PathBuf};
+use std::path::Path;
 
-use crate::crc32::crc32_ieee;
+use crate::durable::{self, TrailerError};
 use crate::evaluator::Evaluation;
 use crate::point::DesignPoint;
 
@@ -93,41 +94,6 @@ fn f64_from_hex(s: &str) -> Result<f64, String> {
     u64::from_str_radix(s, 16)
         .map(f64::from_bits)
         .map_err(|_| format!("bad float bits {s:?}"))
-}
-
-/// `<path><suffix>` in the same directory (`x.ck` → `x.ck.prev`).
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut os = path.as_os_str().to_owned();
-    os.push(suffix);
-    PathBuf::from(os)
-}
-
-/// Splits a v2 file into the CRC-covered body and the recorded CRC.
-/// Returns `(body, recorded_crc, trailer_line_number)`.
-fn split_crc_trailer(text: &str) -> Result<(&str, u32, usize), String> {
-    // The trailer is the last non-empty line; everything before its first
-    // byte (including the newline that ends the `end` line) is covered.
-    let mut trailer: Option<(usize, usize, &str)> = None;
-    let mut offset = 0;
-    for (index, line) in text.split_inclusive('\n').enumerate() {
-        if !line.trim().is_empty() {
-            trailer = Some((index + 1, offset, line.trim()));
-        }
-        offset += line.len();
-    }
-    let Some((lineno, start, line)) = trailer else {
-        return Err("truncated checkpoint: missing crc32 trailer".into());
-    };
-    let Some(rest) = line.strip_prefix("crc32 ") else {
-        return Err("truncated checkpoint: missing crc32 trailer".into());
-    };
-    let rest = rest.trim();
-    if rest.len() != 8 {
-        return Err(format!("line {lineno}: bad crc32 trailer {rest:?}"));
-    }
-    let recorded = u32::from_str_radix(rest, 16)
-        .map_err(|_| format!("line {lineno}: bad crc32 trailer {rest:?}"))?;
-    Ok((&text[..start], recorded, lineno))
 }
 
 impl ExploreCheckpoint {
@@ -192,8 +158,7 @@ impl ExploreCheckpoint {
             )),
         }
         out.push_str("end\n");
-        out.push_str(&format!("crc32 {:08x}\n", crc32_ieee(out.as_bytes())));
-        out
+        durable::seal(out)
     }
 
     /// Parses the text format written by [`to_text`](Self::to_text), or
@@ -215,14 +180,20 @@ impl ExploreCheckpoint {
                 "line 1: expected {HEADER_V2:?} (or legacy {HEADER_V1:?}), got {header:?}"
             ));
         }
-        let (body, recorded, lineno) = split_crc_trailer(text)?;
-        let computed = crc32_ieee(body.as_bytes());
-        if computed != recorded {
-            return Err(format!(
-                "line {lineno}: crc32 mismatch (recorded {recorded:08x}, computed \
+        let body = durable::unseal(text).map_err(|e| match e {
+            TrailerError::Missing => "truncated checkpoint: missing crc32 trailer".to_string(),
+            TrailerError::Malformed { line, raw } => {
+                format!("line {line}: bad crc32 trailer {raw:?}")
+            }
+            TrailerError::Mismatch {
+                line,
+                recorded,
+                computed,
+            } => format!(
+                "line {line}: crc32 mismatch (recorded {recorded:08x}, computed \
                  {computed:08x}) — the checkpoint is corrupt or truncated"
-            ));
-        }
+            ),
+        })?;
         Self::parse_body(body, HEADER_V2)
     }
 
@@ -333,26 +304,13 @@ impl ExploreCheckpoint {
         })
     }
 
-    /// Writes the checkpoint to `path` crash-safely: the bytes are staged
-    /// in `<path>.tmp` and fsynced, any existing checkpoint rotates to
-    /// `<path>.prev`, and the stage renames into place. A crash at any
-    /// point leaves either the previous intact file, the new intact file,
-    /// or an intact `.prev` that [`load_recovering`] falls back to —
-    /// never a torn checkpoint under the primary name.
+    /// Writes the checkpoint to `path` through
+    /// [`durable::write_atomic`]: a crash at any point leaves either the
+    /// previous intact file, the new intact file, or an intact `.prev`
+    /// that [`load_recovering`] falls back to — never a torn checkpoint
+    /// under the primary name.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let tmp = sibling(path, ".tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_text().as_bytes())?;
-            file.sync_all()?;
-        }
-        if path.exists() {
-            // A failed rotation only costs the fallback copy; the rename
-            // below still lands the new checkpoint atomically.
-            let _ = std::fs::rename(path, sibling(path, ".prev"));
-        }
-        std::fs::rename(&tmp, path)
+        durable::write_atomic(path, self.to_text().as_bytes())
     }
 }
 
@@ -409,25 +367,17 @@ pub fn load_checkpoint_file(path: &Path) -> Result<ExploreCheckpoint, Checkpoint
 /// is the primary's too, so a corrupt checkpoint stays a spec error even
 /// if no rotation exists.
 pub fn load_recovering(path: &Path) -> Result<CheckpointRecovery, CheckpointLoadError> {
-    let primary_err = match load_checkpoint_file(path) {
-        Ok(checkpoint) => {
-            return Ok(CheckpointRecovery {
-                checkpoint,
-                fallback: None,
-            })
-        }
-        Err(e) => e,
-    };
-    let prev = sibling(path, ".prev");
-    match load_checkpoint_file(&prev) {
-        Ok(checkpoint) => Ok(CheckpointRecovery {
+    match durable::load_with_fallback(path, load_checkpoint_file) {
+        Ok((checkpoint, primary_err)) => Ok(CheckpointRecovery {
             checkpoint,
-            fallback: Some(format!(
-                "{primary_err}; recovered from the previous auto-checkpoint `{}`",
-                prev.display()
-            )),
+            fallback: primary_err.map(|e| {
+                format!(
+                    "{e}; recovered from the previous auto-checkpoint `{}`",
+                    durable::prev_path(path).display()
+                )
+            }),
         }),
-        Err(_) => Err(primary_err),
+        Err((primary_err, _)) => Err(primary_err),
     }
 }
 
@@ -470,7 +420,7 @@ mod tests {
             .rfind("crc32 ")
             .expect("v2 text has a trailer");
         let body = &body_and_old_trailer[..end];
-        format!("{body}crc32 {:08x}\n", crc32_ieee(body.as_bytes()))
+        durable::seal(body.to_string())
     }
 
     #[test]
@@ -621,7 +571,7 @@ mod tests {
         assert_eq!(load_recovering(&path).unwrap().checkpoint, second);
         // The rotation holds the previous state...
         assert_eq!(
-            load_checkpoint_file(&sibling(&path, ".prev")).unwrap(),
+            load_checkpoint_file(&durable::prev_path(&path)).unwrap(),
             first
         );
 
@@ -635,7 +585,7 @@ mod tests {
         assert!(note.contains("recovered from"), "{note}");
 
         // Both gone bad: the primary's line-precise spec error survives.
-        std::fs::write(sibling(&path, ".prev"), "not a checkpoint\n").unwrap();
+        std::fs::write(durable::prev_path(&path), "not a checkpoint\n").unwrap();
         match load_recovering(&path).unwrap_err() {
             CheckpointLoadError::Spec(msg) => {
                 assert!(msg.contains("state.ck"), "{msg}")

@@ -53,6 +53,7 @@ mod algorithm1;
 mod checkpoint;
 mod constraints;
 mod crc32;
+pub mod durable;
 mod evaluator;
 mod exhaustive;
 mod ilp_heuristic;

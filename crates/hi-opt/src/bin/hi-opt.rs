@@ -26,6 +26,7 @@ use hi_opt::lint::lint_faults;
 use hi_opt::net::{
     average_outcomes, simulate_stochastic, MacKind, NetworkConfig, Routing, TxPower,
 };
+use hi_opt::serve::FrontStore;
 use hi_opt::{
     explore_par_observed, explore_tradeoff_par, ilp_heuristic_search, parse_fault_suite,
     robust_milp_search, supervision_spec, ChaosPolicy, CheckpointLoadError, DesignSpace,
@@ -985,22 +986,26 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
             )));
         }
     }
-    // Warm path: a front segment for this exact physics already exists —
-    // answer from it, zero fresh simulations, no sweep at all.
+    // Warm path: an intact front segment for this exact physics already
+    // exists — answer from it, zero fresh simulations, no sweep at all.
+    // A torn or miskeyed file is not this physics' whole front: the sweep
+    // runs cold and rewrites it. Bit rot stays a spec error.
     if let Some(dir) = &archive_dir {
-        let path = hi_opt::serve::front_path(dir, archive_key(&common));
+        let key = archive_key(&common);
+        let path = FrontStore::path(dir, key);
         if path.is_file() {
-            let bytes = std::fs::read(&path)
-                .map_err(|e| CliError::Io(format!("cannot read `{}`: {e}", path.display())))?;
-            let load = hi_opt::serve::parse_front_segment(&bytes)
+            let load = FrontStore::load_file(&path)
+                .map_err(|e| CliError::Io(format!("cannot read `{}`: {e}", path.display())))?
                 .map_err(|e| CliError::Spec(format!("{}: {e}", path.display())))?;
-            let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
-            for point in load.points {
-                archive.insert(point);
+            if load.torn.is_none() && load.miskeyed(key).is_none() {
+                let mut archive = hi_opt::pareto::ParetoArchive::new(eps);
+                for point in load.items {
+                    archive.insert(point);
+                }
+                print_front(&archive.front());
+                println!("total unique simulations: 0");
+                return Ok(());
             }
-            print_front(&archive.front());
-            println!("total unique simulations: 0");
-            return Ok(());
         }
     }
     let template = Problem::paper_default(0.5);
@@ -1027,8 +1032,8 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
         }
     }
     // Cold populate: fold every evaluation the sweep cached into the
-    // archive and persist the resulting front (tmp + rename, so a
-    // killed run leaves either the old segment or the new one, never a
+    // archive and persist the resulting front (atomically, so a killed
+    // run leaves either the old segment or the new one, never a
     // half-written file). The printed front section is byte-identical
     // to what the warm path will print for the same physics.
     if let Some(dir) = &archive_dir {
@@ -1046,11 +1051,8 @@ fn cmd_tradeoff(args: &[String]) -> Result<(), CliError> {
         std::fs::create_dir_all(dir)
             .map_err(|e| CliError::Io(format!("cannot create `{}`: {e}", dir.display())))?;
         let key = archive_key(&common);
-        let path = hi_opt::serve::front_path(dir, key);
-        let tmp = path.with_extension("seg.tmp");
-        let bytes = hi_opt::serve::render_front_segment(key, &front);
-        std::fs::write(&tmp, bytes)
-            .and_then(|()| std::fs::rename(&tmp, &path))
+        let path = FrontStore::path(dir, key);
+        hi_opt::core::durable::write_atomic(&path, &FrontStore::render(key, &front))
             .map_err(|e| CliError::Io(format!("cannot write `{}`: {e}", path.display())))?;
         print_front(&front);
     }

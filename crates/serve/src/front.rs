@@ -3,8 +3,8 @@
 //! `simulations 0` — instead of re-sweeping the design space.
 //!
 //! One file per stream, `front-<key>.seg` next to the evaluation-cache
-//! segments (`key` is the profile's evaluation fingerprint, so a physics
-//! change keys a different file and old fronts never leak):
+//! segments, stored by the same [`FramedStore`] as the cache; this module
+//! supplies only the payload grammar, [`FrontCodec`]:
 //!
 //! ```text
 //! hi-serve pareto front v1
@@ -14,447 +14,111 @@
 //! ```
 //!
 //! A front point travels as its fingerprint plus four bit-exact floats —
-//! power, PDR, latency, lifetime. The framing, torn-tail recovery, and
-//! bit-rot quarantine discipline are exactly the cache segments'
-//! ([`crate::segment`]): both formats share [`parse_framed`] and differ
-//! only in header line and payload grammar, so a cross-fed file fails
-//! fast with a "not a pareto front" (or "not a cache segment")
-//! diagnostic instead of being half-parsed.
+//! power, PDR, latency, lifetime. The two formats differ in header line
+//! and payload grammar, so a cross-fed file fails fast with a "not a
+//! pareto front" (or "not a cache segment") diagnostic instead of being
+//! half-parsed.
 //!
 //! The log is **append-only over accepted points**: settle appends every
 //! front member not yet on disk, and displaced members are *not*
 //! scrubbed eagerly. Hydration re-offers every logged point to a fresh
-//! [`ParetoArchive`], whose insertion-order-invariant dominance filters
-//! the stale ones — the disk format never has to encode deletions.
-//! Compaction (every `compact_threshold` appends, at drain, or over a
-//! chaos-torn tail) rewrites the file with the *current* front only.
+//! [`ParetoArchive`](hi_pareto::ParetoArchive), whose
+//! insertion-order-invariant dominance filters the stale ones — the disk
+//! format never has to encode deletions. Compaction (every
+//! `compact_threshold` appends, at drain, or over a chaos-torn tail)
+//! rewrites the file with the *current* front only, and a drain-time
+//! flush skips only when disk holds exactly the current front
+//! ([`Codec::EXACT_FLUSH`]).
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
-
-use hi_core::{ChaosPolicy, DesignPoint};
+use hi_core::DesignPoint;
 use hi_pareto::FrontPoint;
 
-use crate::segment::{frame_entry, parse_framed, write_atomic_bytes};
+use crate::store::{Codec, FramedStore, StoreMetrics};
 
-const FRONT_HEADER: &str = "hi-serve pareto front v1";
-
-/// Renders one front point's payload line (no framing, no newline).
-/// Floats travel as exact bit patterns, so a hydrated archive is
-/// bit-identical to the one that was persisted.
-pub fn render_front_entry(point: &FrontPoint) -> String {
-    format!(
-        "p {:016x} {:016x} {:016x} {:016x} {:016x}",
-        point.fingerprint,
-        point.power_mw.to_bits(),
-        point.pdr.to_bits(),
-        point.latency_ms.to_bits(),
-        point.nlt_days.to_bits()
-    )
-}
-
-/// Parses one payload line back into a [`FrontPoint`].
-pub fn parse_front_entry(payload: &str) -> Result<FrontPoint, String> {
-    let mut tokens = payload.split_ascii_whitespace();
-    match tokens.next() {
-        Some("p") => {}
-        Some(other) => return Err(format!("unknown front entry kind `{other}`")),
-        None => return Err("empty front entry payload".to_string()),
-    }
-    let fp_token = tokens
-        .next()
-        .ok_or("missing point fingerprint".to_string())?;
-    let fingerprint = u64::from_str_radix(fp_token, 16)
-        .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
-    if DesignPoint::from_fingerprint(fingerprint).is_none() {
-        return Err(format!(
-            "fingerprint {fingerprint:016x} encodes no valid design point"
-        ));
-    }
-    let mut take = |what: &str| -> Result<f64, String> {
-        let token = tokens.next().ok_or(format!("{what}: missing field"))?;
-        u64::from_str_radix(token, 16)
-            .map(f64::from_bits)
-            .map_err(|_| format!("{what}: bad hex `{token}`"))
-    };
-    let point = FrontPoint {
-        fingerprint,
-        power_mw: take("power")?,
-        pdr: take("pdr")?,
-        latency_ms: take("latency")?,
-        nlt_days: take("lifetime")?,
-    };
-    if tokens.next().is_some() {
-        return Err("trailing fields after front entry payload".to_string());
-    }
-    Ok(point)
-}
-
-/// The outcome of parsing one front segment file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct FrontLoad {
-    /// The stream key stated in the file's `key` line.
-    pub key: u64,
-    /// Intact points, in file (append) order.
-    pub points: Vec<FrontPoint>,
-    /// `Some(note)` if a torn tail was found after the intact prefix.
-    pub torn: Option<String>,
-}
-
-/// Parses a front segment file, separating torn tails from bit rot —
-/// same contract as [`crate::parse_segment`], different payload grammar.
-pub fn parse_front_segment(bytes: &[u8]) -> Result<FrontLoad, String> {
-    let raw = parse_framed(bytes, FRONT_HEADER, "pareto front")?;
-    let mut points = Vec::with_capacity(raw.payloads.len());
-    for (index, (payload, entry_at)) in raw.payloads.iter().enumerate() {
-        points.push(
-            parse_front_entry(payload)
-                .map_err(|e| format!("entry {index} at byte {entry_at}: {e}"))?,
-        );
-    }
-    Ok(FrontLoad {
-        key: raw.key,
-        points,
-        torn: raw.torn,
-    })
-}
-
-/// Renders a complete front segment file (header, key line, framed
-/// entries).
-pub fn render_front_segment(key: u64, points: &[FrontPoint]) -> Vec<u8> {
-    let mut out = format!("{FRONT_HEADER}\nkey {key:016x}\n").into_bytes();
-    for point in points {
-        out.extend_from_slice(&frame_entry(&render_front_entry(point)));
-    }
-    out
-}
-
-/// The front segment path for stream `key` under `cache_dir`.
-pub fn front_path(cache_dir: &Path, key: u64) -> PathBuf {
-    cache_dir.join(format!("front-{key:016x}.seg"))
-}
-
-#[derive(Debug, Default)]
-struct KeyState {
-    /// Fingerprints known to be durably logged on disk.
-    persisted: BTreeSet<u64>,
-    /// Appends since the file was last fully rewritten.
-    appends_since_compact: u32,
-    /// Settle-batch counter: the chaos roll index, so injection is a
-    /// pure function of `(key, batch)` and replays identically.
-    sequence: u32,
-    /// Set after a chaos-torn append: the next settle must compact.
-    needs_compact: bool,
-}
-
-/// Cumulative [`FrontStore`] counters, mirrored into the
-/// `serve.pareto.*` wellknown metrics and printed by `STATS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct FrontStats {
-    /// Points hydrated back from disk at open.
-    pub loaded: u64,
-    /// Points written durably (appends + compaction folds).
-    pub persisted: u64,
-    /// Full-file compactions performed.
-    pub compactions: u64,
-    /// Files quarantined for bit rot at open.
-    pub quarantined: u64,
-}
-
-/// The durable side of the Pareto archives: one append-mostly front
-/// segment per evaluator stream, sharing the cache directory (and the
-/// crash-consistency discipline) with [`crate::SegmentStore`].
+/// The Pareto-front segment's payload grammar: one [`FrontPoint`] per
+/// entry.
 #[derive(Debug)]
-pub struct FrontStore {
-    dir: PathBuf,
-    compact_threshold: u32,
-    chaos: Option<ChaosPolicy>,
-    state: Mutex<BTreeMap<u64, KeyState>>,
-    /// Points recovered at open, waiting for their stream's archive to
-    /// claim (re-insert) them.
-    preloaded: Mutex<BTreeMap<u64, Vec<FrontPoint>>>,
-    loaded: AtomicU64,
-    persisted_total: AtomicU64,
-    compactions: AtomicU64,
-    quarantined: AtomicU64,
-}
+pub struct FrontCodec;
 
-impl FrontStore {
-    /// Opens the front store over `dir` (created if needed), loading and
-    /// verifying every `front-*.seg` in it. Returns the store plus
-    /// human-readable notes for anything abnormal — same contract as
-    /// [`crate::SegmentStore::open`]: damaged streams start cold, the
-    /// daemon always starts.
-    pub fn open(
-        dir: PathBuf,
-        compact_threshold: u32,
-        chaos: Option<ChaosPolicy>,
-    ) -> std::io::Result<(Self, Vec<String>)> {
-        std::fs::create_dir_all(&dir)?;
-        let store = Self {
-            dir,
-            compact_threshold: compact_threshold.max(1),
-            chaos,
-            state: Mutex::new(BTreeMap::new()),
-            preloaded: Mutex::new(BTreeMap::new()),
-            loaded: AtomicU64::new(0),
-            persisted_total: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
+/// The durable side of the Pareto archives: one append-mostly
+/// `front-*.seg` per evaluator stream, sharing the cache directory with
+/// [`crate::SegmentStore`].
+pub type FrontStore = FramedStore<FrontCodec>;
+
+impl Codec for FrontCodec {
+    type Item = FrontPoint;
+    const HEADER: &'static str = "hi-serve pareto front v1";
+    const PREFIX: &'static str = "front";
+    const LABEL: &'static str = "pareto front";
+    const ITEMS: &'static str = "front points";
+    const COLD: &'static str = "front";
+    const METRICS: StoreMetrics = StoreMetrics {
+        loaded: hi_trace::wellknown::SERVE_PARETO_LOADED,
+        persisted: hi_trace::wellknown::SERVE_PARETO_PERSISTED,
+        compactions: hi_trace::wellknown::SERVE_PARETO_COMPACTIONS,
+        quarantined: hi_trace::wellknown::SERVE_PARETO_QUARANTINED,
+    };
+    const EXACT_FLUSH: bool = true;
+
+    /// Floats travel as exact bit patterns, so a hydrated archive is
+    /// bit-identical to the one that was persisted.
+    fn render(point: &FrontPoint) -> String {
+        format!(
+            "p {:016x} {:016x} {:016x} {:016x} {:016x}",
+            point.fingerprint,
+            point.power_mw.to_bits(),
+            point.pdr.to_bits(),
+            point.latency_ms.to_bits(),
+            point.nlt_days.to_bits()
+        )
+    }
+
+    fn parse(payload: &str) -> Result<FrontPoint, String> {
+        let mut tokens = payload.split_ascii_whitespace();
+        match tokens.next() {
+            Some("p") => {}
+            Some(other) => return Err(format!("unknown front entry kind `{other}`")),
+            None => return Err("empty front entry payload".to_string()),
+        }
+        let fp_token = tokens
+            .next()
+            .ok_or("missing point fingerprint".to_string())?;
+        let fingerprint = u64::from_str_radix(fp_token, 16)
+            .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
+        if DesignPoint::from_fingerprint(fingerprint).is_none() {
+            return Err(format!(
+                "fingerprint {fingerprint:016x} encodes no valid design point"
+            ));
+        }
+        let mut take = |what: &str| -> Result<f64, String> {
+            let token = tokens.next().ok_or(format!("{what}: missing field"))?;
+            u64::from_str_radix(token, 16)
+                .map(f64::from_bits)
+                .map_err(|_| format!("{what}: bad hex `{token}`"))
         };
-        let notes = store.load_existing()?;
-        Ok((store, notes))
-    }
-
-    /// The directory front segments live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn load_existing(&self) -> std::io::Result<Vec<String>> {
-        let mut notes = Vec::new();
-        let mut keys: Vec<u64> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                u64::from_str_radix(name.strip_prefix("front-")?.strip_suffix(".seg")?, 16).ok()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for key in keys {
-            let path = front_path(&self.dir, key);
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    notes.push(format!("{}: unreadable: {e}", path.display()));
-                    continue;
-                }
-            };
-            match parse_front_segment(&bytes) {
-                Ok(load) => {
-                    if !load.points.is_empty() && load.key != key {
-                        self.quarantine(
-                            &path,
-                            &mut notes,
-                            &format!(
-                                "key line says {:016x} but the file is named for {key:016x}",
-                                load.key
-                            ),
-                        );
-                        continue;
-                    }
-                    if let Some(torn) = &load.torn {
-                        let repaired = render_front_segment(key, &load.points);
-                        write_atomic_bytes(&path, &repaired)?;
-                        notes.push(format!(
-                            "{}: torn tail truncated ({torn}); {} front points recovered",
-                            path.display(),
-                            load.points.len()
-                        ));
-                    }
-                    hi_trace::counter(
-                        hi_trace::wellknown::SERVE_PARETO_LOADED,
-                        load.points.len() as u64,
-                    );
-                    self.loaded
-                        .fetch_add(load.points.len() as u64, Ordering::Relaxed);
-                    let mut state = self.state.lock().expect("front store poisoned");
-                    let entry = state.entry(key).or_default();
-                    entry
-                        .persisted
-                        .extend(load.points.iter().map(|p| p.fingerprint));
-                    drop(state);
-                    if !load.points.is_empty() {
-                        self.preloaded
-                            .lock()
-                            .expect("front store poisoned")
-                            .insert(key, load.points);
-                    }
-                }
-                Err(diag) => self.quarantine(&path, &mut notes, &diag),
-            }
-        }
-        Ok(notes)
-    }
-
-    fn quarantine(&self, path: &Path, notes: &mut Vec<String>, diag: &str) {
-        let mut target = path.as_os_str().to_os_string();
-        target.push(".quarantine");
-        let verdict = match std::fs::rename(path, &target) {
-            Ok(()) => format!("quarantined as {}", PathBuf::from(&target).display()),
-            Err(e) => format!("quarantine rename failed ({e}); file left in place, ignored"),
+        let point = FrontPoint {
+            fingerprint,
+            power_mw: take("power")?,
+            pdr: take("pdr")?,
+            latency_ms: take("latency")?,
+            nlt_days: take("lifetime")?,
         };
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_QUARANTINED, 1);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-        notes.push(format!(
-            "{}: bit rot: {diag}; {verdict}; front starts cold",
-            path.display()
-        ));
+        if tokens.next().is_some() {
+            return Err("trailing fields after front entry payload".to_string());
+        }
+        Ok(point)
     }
 
-    /// Claims the points recovered for `key` at open, if any. Re-insert
-    /// each into the stream's fresh archive: dominance is insertion-order
-    /// invariant, so the log's stale (displaced) points filter out and
-    /// the hydrated front is bit-identical to the persisted one.
-    pub fn hydrate(&self, key: u64) -> Vec<FrontPoint> {
-        self.preloaded
-            .lock()
-            .expect("front store poisoned")
-            .remove(&key)
-            .unwrap_or_default()
-    }
-
-    /// Persists whatever of `front` (the stream archive's current front)
-    /// disk does not yet hold. Points already logged are skipped; fresh
-    /// ones are appended (one fsync per batch), and every
-    /// `compact_threshold` appends the file is rewritten atomically with
-    /// the current front only, folding out displaced points.
-    pub fn settle(&self, key: u64, front: &[FrontPoint]) -> std::io::Result<crate::SettleOutcome> {
-        let mut state = self.state.lock().expect("front store poisoned");
-        let entry = state.entry(key).or_default();
-        let fresh: Vec<&FrontPoint> = front
-            .iter()
-            .filter(|p| !entry.persisted.contains(&p.fingerprint))
-            .collect();
-        if fresh.is_empty() {
-            return Ok(crate::SettleOutcome::default());
-        }
-        let sequence = entry.sequence;
-        entry.sequence += 1;
-        if let Some(chaos) = &self.chaos {
-            if chaos.drops_segment(key, sequence) {
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
-                return Ok(crate::SettleOutcome {
-                    chaos_dropped: true,
-                    ..crate::SettleOutcome::default()
-                });
-            }
-        }
-        let path = front_path(&self.dir, key);
-        let compact =
-            entry.needs_compact || entry.appends_since_compact + 1 >= self.compact_threshold;
-        if compact {
-            write_atomic_bytes(&path, &render_front_segment(key, front))?;
-            entry.persisted = front.iter().map(|p| p.fingerprint).collect();
-            entry.appends_since_compact = 0;
-            entry.needs_compact = false;
-            hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-            hi_trace::counter(
-                hi_trace::wellknown::SERVE_PARETO_PERSISTED,
-                fresh.len() as u64,
-            );
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            self.persisted_total
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            return Ok(crate::SettleOutcome {
-                persisted: fresh.len(),
-                compacted: true,
-                ..crate::SettleOutcome::default()
-            });
-        }
-        let mut batch = Vec::new();
-        let mut complete = Vec::new();
-        for point in &fresh {
-            batch.extend_from_slice(&frame_entry(&render_front_entry(point)));
-            complete.push(point.fingerprint);
-        }
-        let mut chaos_torn = false;
-        if let Some(chaos) = &self.chaos {
-            if chaos.tears_segment(key, sequence) {
-                let last = frame_entry(&render_front_entry(fresh[fresh.len() - 1]));
-                batch.truncate(batch.len() - last.len() + last.len() / 2);
-                complete.pop();
-                chaos_torn = true;
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
-            }
-        }
-        {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)?;
-            if file.metadata()?.len() == 0 {
-                file.write_all(format!("{FRONT_HEADER}\nkey {key:016x}\n").as_bytes())?;
-            }
-            file.write_all(&batch)?;
-            file.sync_all()?;
-        }
-        let persisted = complete.len();
-        entry.persisted.extend(complete);
-        entry.appends_since_compact += 1;
-        entry.needs_compact = chaos_torn;
-        hi_trace::counter(
-            hi_trace::wellknown::SERVE_PARETO_PERSISTED,
-            persisted as u64,
-        );
-        self.persisted_total
-            .fetch_add(persisted as u64, Ordering::Relaxed);
-        Ok(crate::SettleOutcome {
-            persisted,
-            chaos_torn,
-            ..crate::SettleOutcome::default()
-        })
-    }
-
-    /// Drain-time flush: compacts `key`'s front segment unconditionally
-    /// from the archive's current front, leaving one clean, tear-free,
-    /// displaced-point-free file for the next process.
-    pub fn flush(&self, key: u64, front: &[FrontPoint]) -> std::io::Result<()> {
-        if front.is_empty() {
-            return Ok(());
-        }
-        let mut state = self.state.lock().expect("front store poisoned");
-        let entry = state.entry(key).or_default();
-        let path = front_path(&self.dir, key);
-        // Skip only if disk provably holds exactly the current front —
-        // no pending tear, no logged-but-displaced extras to fold out.
-        let clean = !entry.needs_compact
-            && path.exists()
-            && entry.persisted.len() == front.len()
-            && front
-                .iter()
-                .all(|p| entry.persisted.contains(&p.fingerprint));
-        if clean {
-            return Ok(());
-        }
-        write_atomic_bytes(&path, &render_front_segment(key, front))?;
-        entry.persisted = front.iter().map(|p| p.fingerprint).collect();
-        entry.appends_since_compact = 0;
-        entry.needs_compact = false;
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Cumulative counters since open.
-    pub fn stats(&self) -> FrontStats {
-        FrontStats {
-            loaded: self.loaded.load(Ordering::Relaxed),
-            persisted: self.persisted_total.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of points known durably logged for `key`.
-    pub fn persisted_len(&self, key: u64) -> usize {
-        self.state
-            .lock()
-            .expect("front store poisoned")
-            .get(&key)
-            .map_or(0, |s| s.persisted.len())
+    fn fingerprint(point: &FrontPoint) -> u64 {
+        point.fingerprint
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::segment::{render_segment, segment_path, CachedOutcome};
+    use crate::store::tests::{self as store, Fixture};
+    use crate::{CachedOutcome, SegmentStore};
     use hi_core::{Evaluation, MacChoice, Placement, RouteChoice};
     use hi_net::TxPower;
     use hi_pareto::ParetoArchive;
@@ -482,17 +146,32 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hi-front-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    impl Fixture for FrontCodec {
+        fn item(i: u8) -> FrontPoint {
+            match i {
+                0 => point(0, 1.0, 0.9, 5.0),
+                1 => point(1, 0.5, 0.6, 9.0),
+                _ => point(2, 0.7, 0.95, 4.0), // dominates point(0)
+            }
+        }
+
+        /// Re-inserting the log into a fresh archive filters the
+        /// displaced point.
+        fn check_hydrated(logged: &[FrontPoint]) {
+            let mut archive = ParetoArchive::default();
+            for p in logged {
+                archive.insert(*p);
+            }
+            let front = archive.front();
+            assert_eq!(front.len(), 2);
+            assert!(front.contains(&Self::item(2)));
+        }
     }
 
     #[test]
     fn front_entries_roundtrip_bit_for_bit() {
         let p = point(0, 1.25, 0.9137, 5.5);
-        assert_eq!(parse_front_entry(&render_front_entry(&p)).unwrap(), p);
+        assert_eq!(FrontCodec::parse(&FrontCodec::render(&p)).unwrap(), p);
         let weird = FrontPoint {
             fingerprint: design(1).fingerprint(),
             power_mw: f64::MIN_POSITIVE,
@@ -500,7 +179,7 @@ mod tests {
             latency_ms: f64::INFINITY,
             nlt_days: f64::NAN,
         };
-        let parsed = parse_front_entry(&render_front_entry(&weird)).unwrap();
+        let parsed = FrontCodec::parse(&FrontCodec::render(&weird)).unwrap();
         assert_eq!(parsed.power_mw.to_bits(), f64::MIN_POSITIVE.to_bits());
         assert_eq!(parsed.pdr.to_bits(), (-0.0f64).to_bits());
         assert!(parsed.nlt_days.is_nan());
@@ -517,7 +196,7 @@ mod tests {
             ("p 0000000000000216 3ff0", "pdr: missing field"),
             ("p 0000000000000216 0 0 0 0 deadbeef", "trailing fields"),
         ] {
-            let err = parse_front_entry(payload).unwrap_err();
+            let err = FrontCodec::parse(payload).unwrap_err();
             assert!(err.contains(needle), "`{payload}` → {err}");
         }
     }
@@ -525,14 +204,14 @@ mod tests {
     #[test]
     fn front_segments_roundtrip_and_cross_feeding_fails_fast() {
         let points = vec![point(0, 1.0, 0.9, 5.0), point(1, 0.8, 0.85, 6.0)];
-        let bytes = render_front_segment(0xabc, &points);
-        let load = parse_front_segment(&bytes).unwrap();
+        let bytes = FrontStore::render(0xabc, &points);
+        let load = FrontStore::parse(&bytes).unwrap();
         assert_eq!(load.key, 0xabc);
-        assert_eq!(load.points, points);
+        assert_eq!(load.items, points);
         assert_eq!(load.torn, None);
         // A cache segment fed to the front parser (and vice versa) is
         // rejected at the header, not half-parsed.
-        let cache = render_segment(
+        let cache = SegmentStore::render(
             0xabc,
             &[CachedOutcome::Nominal {
                 point: design(0),
@@ -544,135 +223,51 @@ mod tests {
                 },
             }],
         );
-        let err = parse_front_segment(&cache).unwrap_err();
+        let err = FrontStore::parse(&cache).unwrap_err();
         assert!(err.contains("not a pareto front"), "{err}");
-        let err = crate::parse_segment(&bytes).unwrap_err();
+        let err = SegmentStore::parse(&bytes).unwrap_err();
         assert!(err.contains("not a cache segment"), "{err}");
     }
 
     #[test]
     fn torn_front_tails_keep_the_intact_prefix() {
-        let points = vec![point(0, 1.0, 0.9, 5.0), point(1, 0.8, 0.85, 6.0)];
-        let bytes = render_front_segment(7, &points);
-        let first_end = render_front_segment(7, &points[..1]).len();
-        for cut in (first_end + 1)..bytes.len() {
-            let load = parse_front_segment(&bytes[..cut]).unwrap();
-            assert_eq!(load.points, points[..1], "cut at {cut}");
-            assert!(load.torn.is_some(), "cut at {cut}");
-        }
+        store::check_torn_prefix::<FrontCodec>();
     }
 
     #[test]
     fn store_settles_hydrates_and_filters_stale_points_across_reopen() {
-        let dir = tmpdir("reopen");
-        let key = 0x51;
-        let better = point(2, 0.7, 0.95, 4.0); // dominates point(0)
-        {
-            let (store, notes) = FrontStore::open(dir.clone(), 256, None).unwrap();
-            assert!(notes.is_empty(), "{notes:?}");
-            let out = store
-                .settle(key, &[point(0, 1.0, 0.9, 5.0), point(1, 0.5, 0.6, 9.0)])
-                .unwrap();
-            assert_eq!(out.persisted, 2);
-            // The archive evolves: point(0) is displaced, `better` joins.
-            // Settle sees only the current front and appends the delta.
-            let out = store
-                .settle(key, &[better, point(1, 0.5, 0.6, 9.0)])
-                .unwrap();
-            assert_eq!(out.persisted, 1);
-            assert_eq!(store.persisted_len(key), 3);
-        }
-        // Reopen: the log holds all three points; re-inserting them into
-        // a fresh archive filters the displaced one.
-        let (store, notes) = FrontStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.is_empty(), "{notes:?}");
-        let logged = store.hydrate(key);
-        assert_eq!(logged.len(), 3);
-        let mut archive = ParetoArchive::default();
-        for p in &logged {
-            archive.insert(*p);
-        }
-        let front = archive.front();
-        assert_eq!(front.len(), 2);
-        assert!(front.contains(&better));
-        assert!(store.hydrate(key).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_reopen::<FrontCodec>();
     }
 
     #[test]
     fn flush_folds_displaced_points_out_of_the_file() {
-        let dir = tmpdir("flush");
-        let key = 0x90;
-        let (store, _) = FrontStore::open(dir.clone(), 256, None).unwrap();
-        store.settle(key, &[point(0, 1.0, 0.9, 5.0)]).unwrap();
-        // point(0) has since been displaced; only point(2) remains.
-        let current = [point(2, 0.7, 0.95, 4.0)];
-        store.flush(key, &current).unwrap();
-        let load = parse_front_segment(&std::fs::read(front_path(&dir, key)).unwrap()).unwrap();
-        assert_eq!(load.points, current);
-        assert_eq!(load.torn, None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_flush::<FrontCodec>();
     }
 
     #[test]
     fn torn_files_repair_and_rotted_files_quarantine_at_open() {
-        let dir = tmpdir("repair");
-        let torn_key = 0x60;
-        let rot_key = 0x61;
-        let bytes = render_front_segment(
-            torn_key,
-            &[point(0, 1.0, 0.9, 5.0), point(1, 0.5, 0.6, 9.0)],
-        );
-        std::fs::write(front_path(&dir, torn_key), &bytes[..bytes.len() - 3]).unwrap();
-        let mut rotted = render_front_segment(rot_key, &[point(2, 0.7, 0.95, 4.0)]);
-        let at = rotted.len() - 10;
-        rotted[at] ^= 0x01;
-        std::fs::write(front_path(&dir, rot_key), &rotted).unwrap();
-        let (store, notes) = FrontStore::open(dir.clone(), 256, None).unwrap();
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(
-            notes.iter().any(|n| n.contains("torn tail truncated")),
-            "{notes:?}"
-        );
-        assert!(notes.iter().any(|n| n.contains("bit rot")), "{notes:?}");
-        assert_eq!(store.hydrate(torn_key).len(), 1);
-        assert!(store.hydrate(rot_key).is_empty());
-        assert!(front_path(&dir, rot_key)
-            .with_extension("seg.quarantine")
-            .exists());
-        assert_eq!(store.stats().quarantined, 1);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_repair::<FrontCodec>();
+    }
+
+    #[test]
+    fn compaction_folds_the_append_tail() {
+        store::check_compaction::<FrontCodec>();
     }
 
     #[test]
     fn chaos_torn_append_recovers_via_forced_compaction() {
-        let dir = tmpdir("chaos");
-        let key = 0x80;
-        let chaos = ChaosPolicy::parse("seed=5,torn=1").unwrap();
-        let (store, _) = FrontStore::open(dir.clone(), 256, Some(chaos)).unwrap();
-        let out = store.settle(key, &[point(0, 1.0, 0.9, 5.0)]).unwrap();
-        assert!(out.chaos_torn);
-        assert_eq!(out.persisted, 0);
-        let load = parse_front_segment(&std::fs::read(front_path(&dir, key)).unwrap()).unwrap();
-        assert!(load.torn.is_some());
-        let out = store
-            .settle(key, &[point(0, 1.0, 0.9, 5.0), point(1, 0.5, 0.6, 9.0)])
-            .unwrap();
-        assert!(out.compacted);
-        assert_eq!(out.persisted, 2);
-        let load = parse_front_segment(&std::fs::read(front_path(&dir, key)).unwrap()).unwrap();
-        assert_eq!(load.torn, None);
-        assert_eq!(load.points.len(), 2);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_chaos::<FrontCodec>();
     }
 
     #[test]
     fn front_and_cache_segments_share_a_directory_without_collisions() {
-        let dir = tmpdir("shared");
+        let dir = std::env::temp_dir().join(format!("hi-front-shared-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
         let key = 0x33;
         std::fs::write(
-            segment_path(&dir, key),
-            render_segment(
+            SegmentStore::path(&dir, key),
+            SegmentStore::render(
                 key,
                 &[CachedOutcome::Nominal {
                     point: design(0),
@@ -687,15 +282,15 @@ mod tests {
         )
         .unwrap();
         std::fs::write(
-            front_path(&dir, key),
-            render_front_segment(key, &[point(0, 1.0, 0.9, 5.0)]),
+            FrontStore::path(&dir, key),
+            FrontStore::render(key, &[point(0, 1.0, 0.9, 5.0)]),
         )
         .unwrap();
         // Each store sees only its own files.
         let (fronts, notes) = FrontStore::open(dir.clone(), 256, None).unwrap();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(fronts.hydrate(key).len(), 1);
-        let (caches, notes) = crate::SegmentStore::open(dir.clone(), 256, None).unwrap();
+        let (caches, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
         assert!(notes.is_empty(), "{notes:?}");
         assert_eq!(caches.hydrate(key).len(), 1);
         std::fs::remove_dir_all(&dir).unwrap();
@@ -703,15 +298,6 @@ mod tests {
 
     #[test]
     fn miskeyed_front_files_are_quarantined() {
-        let dir = tmpdir("miskey");
-        std::fs::write(
-            front_path(&dir, 0xAA),
-            render_front_segment(0xBB, &[point(0, 1.0, 0.9, 5.0)]),
-        )
-        .unwrap();
-        let (store, notes) = FrontStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.iter().any(|n| n.contains("named for")), "{notes:?}");
-        assert!(store.hydrate(0xAA).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_miskeyed::<FrontCodec>();
     }
 }

@@ -31,7 +31,10 @@
 //!   `(power, PDR, latency)`, fed incrementally by every job through
 //!   the shared cache, persisted in CRC-checked front segments beside
 //!   the cache segments, and served by `FRONT` — warm after a restart,
-//!   with zero fresh simulations.
+//!   with zero fresh simulations;
+//! * [`store`](FramedStore) — the one framed, append-mostly store both
+//!   segment formats run on: each supplies only a [`Codec`] (header,
+//!   payload grammar, metric names).
 //!
 //! Everything is std-only and deterministic: jobs run serially in id
 //! order, so the cache state any job observes is a pure function of the
@@ -47,14 +50,12 @@ mod profile;
 mod proto;
 mod segment;
 mod server;
+mod store;
 
 pub use fleet::{
     render_result, run_profile, FleetCache, FleetEvaluator, FleetStats, ProfileOutcome, RunPolicy,
 };
-pub use front::{
-    front_path, parse_front_entry, parse_front_segment, render_front_entry, render_front_segment,
-    FrontLoad, FrontStats, FrontStore,
-};
+pub use front::{FrontCodec, FrontStore};
 pub use persist::{
     checkpoint_path, load_job_recovering, record_path, scan_records, JobRecord, JobState,
 };
@@ -66,8 +67,8 @@ pub use proto::{
     derive_token, err_line, ok_block, ok_line, validate_token, Request, MAX_SUBMIT_LINES,
     MAX_TOKEN_LEN,
 };
-pub use segment::{
-    frame_entry, parse_entry, parse_segment, render_entry, render_segment, segment_path,
-    CachedOutcome, SegmentLoad, SegmentStats, SegmentStore, SettleOutcome,
-};
+pub use segment::{CacheCodec, CachedOutcome, SegmentStore};
 pub use server::{run, serve_connection, ServeConfig, Server};
+pub use store::{
+    frame_entry, Codec, FramedLoad, FramedStore, SettleOutcome, StoreMetrics, StoreStats,
+};

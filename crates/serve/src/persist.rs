@@ -1,7 +1,7 @@
 //! Crash-safe job records: every job's lifecycle state on disk, in the
-//! PR-5 checkpoint idiom (versioned text, CRC-32 trailer, atomic
-//! `.tmp`/`.prev` rotation), so a SIGKILLed daemon restarts into the
-//! queue it was serving.
+//! checkpoint idiom (versioned text, CRC-32 trailer, atomic
+//! `.tmp`/`.prev` rotation, all from [`hi_core::durable`]), so a
+//! SIGKILLed daemon restarts into the queue it was serving.
 //!
 //! One file per job, `job-<id>.rec` in the daemon's state directory:
 //!
@@ -31,7 +31,7 @@
 use std::fmt;
 use std::path::{Path, PathBuf};
 
-use hi_core::crc32_ieee;
+use hi_core::durable::{self, TrailerError};
 
 /// A job's lifecycle state. `Queued → Running → Done | Failed |
 /// Cancelled`; the three right-hand states are terminal.
@@ -135,9 +135,7 @@ impl JobRecord {
             body.push('\n');
         }
         body.push_str("end\n");
-        let crc = crc32_ieee(body.as_bytes());
-        body.push_str(&format!("crc32 {crc:08x}\n"));
-        body
+        durable::seal(body)
     }
 
     /// Parses a record, verifying header and CRC trailer.
@@ -147,22 +145,16 @@ impl JobRecord {
             return Err(format!("missing `{HEADER}` header"));
         }
         // CRC first: everything after it is untrustworthy otherwise.
-        let trailer_at = text
-            .rfind("crc32 ")
-            .ok_or("missing crc32 trailer".to_string())?;
-        let body = &text[..trailer_at];
-        let stated = text[trailer_at..]
-            .trim_end()
-            .strip_prefix("crc32 ")
-            .and_then(|h| u32::from_str_radix(h, 16).ok())
-            .ok_or("malformed crc32 trailer".to_string())?;
-        let actual = crc32_ieee(body.as_bytes());
-        if stated != actual {
-            return Err(format!(
-                "crc32 mismatch: trailer says {stated:08x}, body hashes to {actual:08x} \
+        durable::unseal(text).map_err(|e| match e {
+            TrailerError::Missing => "missing crc32 trailer".to_string(),
+            TrailerError::Malformed { .. } => "malformed crc32 trailer".to_string(),
+            TrailerError::Mismatch {
+                recorded, computed, ..
+            } => format!(
+                "crc32 mismatch: trailer says {recorded:08x}, body hashes to {computed:08x} \
                  (torn write?)"
-            ));
-        }
+            ),
+        })?;
         fn take_kv(lines: &mut std::str::Lines<'_>, key: &str) -> Result<String, String> {
             let line = lines.next().ok_or(format!("truncated before `{key}`"))?;
             line.strip_prefix(key)
@@ -222,29 +214,12 @@ impl JobRecord {
         })
     }
 
-    /// Atomically persists the record at `path`: stage to `.tmp`, fsync,
-    /// rotate the old file to `.prev`, rename into place — the PR-5
-    /// checkpoint discipline, so a crash at any instant leaves an intact
-    /// record under `path` or `path.prev`.
+    /// Persists the record at `path` through
+    /// [`durable::write_atomic`], so a crash at any instant leaves an
+    /// intact record under `path` or `path.prev`.
     pub fn write_atomic(&self, path: &Path) -> std::io::Result<()> {
-        use std::io::Write as _;
-        let tmp = sibling(path, ".tmp");
-        {
-            let mut file = std::fs::File::create(&tmp)?;
-            file.write_all(self.to_text().as_bytes())?;
-            file.sync_all()?;
-        }
-        if path.exists() {
-            let _ = std::fs::rename(path, sibling(path, ".prev"));
-        }
-        std::fs::rename(&tmp, path)
+        durable::write_atomic(path, self.to_text().as_bytes())
     }
-}
-
-fn sibling(path: &Path, suffix: &str) -> PathBuf {
-    let mut name = path.as_os_str().to_os_string();
-    name.push(suffix);
-    PathBuf::from(name)
 }
 
 /// Loads a job record, falling back to `.prev` when the primary copy is
@@ -252,25 +227,18 @@ fn sibling(path: &Path, suffix: &str) -> PathBuf {
 /// used (worth a diagnostic). Errors only when *both* copies are
 /// unusable.
 pub fn load_job_recovering(path: &Path) -> Result<(JobRecord, bool), String> {
-    let primary = std::fs::read_to_string(path)
-        .map_err(|e| e.to_string())
-        .and_then(|text| JobRecord::from_text(&text));
-    match primary {
-        Ok(record) => Ok((record, false)),
-        Err(primary_err) => {
-            let prev = sibling(path, ".prev");
-            let fallback = std::fs::read_to_string(&prev)
-                .map_err(|e| e.to_string())
-                .and_then(|text| JobRecord::from_text(&text));
-            match fallback {
-                Ok(record) => Ok((record, true)),
-                Err(prev_err) => Err(format!(
-                    "{}: {primary_err}; fallback {}: {prev_err}",
-                    path.display(),
-                    prev.display()
-                )),
-            }
-        }
+    let load = |p: &Path| {
+        std::fs::read_to_string(p)
+            .map_err(|e| e.to_string())
+            .and_then(|text| JobRecord::from_text(&text))
+    };
+    match durable::load_with_fallback(path, load) {
+        Ok((record, primary_err)) => Ok((record, primary_err.is_some())),
+        Err((primary_err, prev_err)) => Err(format!(
+            "{}: {primary_err}; fallback {}: {prev_err}",
+            path.display(),
+            durable::prev_path(path).display()
+        )),
     }
 }
 
@@ -285,7 +253,9 @@ pub fn checkpoint_path(state_dir: &Path, id: u64) -> PathBuf {
 }
 
 /// Scans `state_dir` for job records, recovering each (with `.prev`
-/// fallback), sorted by job id. Unreadable records are returned as
+/// fallback), sorted by job id. A job whose only copy is its `.prev`
+/// rotation (the writer died between rotating the old record away and
+/// renaming the new one in) is found too. Unreadable records are returned as
 /// per-file errors alongside the survivors — a half-corrupt state
 /// directory still restarts the jobs it can prove intact.
 pub fn scan_records(state_dir: &Path) -> (Vec<(JobRecord, bool)>, Vec<String>) {
@@ -299,8 +269,9 @@ pub fn scan_records(state_dir: &Path) -> (Vec<(JobRecord, bool)>, Vec<String>) {
         .filter_map(|e| {
             let name = e.file_name();
             let name = name.to_str()?;
-            name.strip_prefix("job-")?
-                .strip_suffix(".rec")?
+            let stem = name.strip_prefix("job-")?;
+            stem.strip_suffix(".rec")
+                .or_else(|| stem.strip_suffix(".rec.prev"))?
                 .parse::<u64>()
                 .ok()
         })
@@ -402,6 +373,24 @@ mod tests {
         let (records, errors) = scan_records(&dir);
         assert_eq!(records.len(), 1);
         assert!(errors.is_empty());
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn scan_restores_a_job_whose_only_copy_is_its_prev_rotation() {
+        // A crash between rotating `job-3.rec` to `.prev` and renaming
+        // the staged `.tmp` into place leaves no `job-3.rec` at all.
+        let dir = std::env::temp_dir().join(format!("hi-serve-prev-only-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = record_path(&dir, 3);
+        std::fs::write(durable::prev_path(&path), sample().to_text()).unwrap();
+        let mut staged = path.as_os_str().to_os_string();
+        staged.push(".tmp");
+        std::fs::write(staged, "hi-serve job v1\nid 3\nsta").unwrap();
+        let (records, errors) = scan_records(&dir);
+        assert!(errors.is_empty(), "{errors:?}");
+        assert_eq!(records, vec![(sample(), true)]);
         std::fs::remove_dir_all(&dir).unwrap();
     }
 }

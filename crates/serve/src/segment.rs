@@ -3,7 +3,10 @@
 //! with `simulations 0` instead of paying for them again.
 //!
 //! One file per evaluator stream, `cache-<key>.seg` in the daemon's
-//! cache directory (`key` is the profile's evaluation fingerprint):
+//! cache directory (`key` is the profile's evaluation fingerprint),
+//! stored by the one [`FramedStore`] (framing, torn-tail repair, bit-rot
+//! quarantine, compaction); this module supplies only the payload
+//! grammar, [`CacheCodec`]:
 //!
 //! ```text
 //! hi-serve cache segment v1
@@ -19,38 +22,13 @@
 //! [`Evaluation`] carry three; they still parse (latency zero), but the
 //! canonical rendered form is always four-wide.
 //!
-//! Each `entry` line frames one payload by byte length and CRC-32-IEEE
-//! over exactly the payload bytes — the PR-5 record discipline applied
-//! to an *append-only* file. Appends are the settle path (cheap, one
-//! `fsync` per batch); every `compact_threshold` appends the file is
-//! rewritten through the atomic `.tmp`/fsync/`.prev` rotation so it
-//! never grows without bound.
-//!
-//! Loading distinguishes two failure modes precisely:
-//!
-//! * **Torn tail** — the file ends mid-line or mid-payload, exactly what
-//!   a crash during an append leaves behind. The intact prefix is kept,
-//!   the tail truncated away, and a note reported. Data loss is bounded
-//!   by one settle batch, and those points simply re-simulate.
-//! * **Bit rot** — a structurally complete entry whose CRC disagrees,
-//!   framing violated mid-file, or a foreign/garbled header. No clean
-//!   truncation explains these, so the whole file is quarantined (renamed
-//!   `*.quarantine`) with a byte-precise diagnostic and the stream starts
-//!   cold rather than trusting any of it.
-//!
 //! Only `Ok` outcomes are persisted. Cached *errors* are deterministic
 //! and cheap to rediscover; persisting them would resurrect stale
 //! diagnostics across daemon upgrades.
 
-use std::collections::{BTreeMap, BTreeSet};
-use std::io::Write as _;
-use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use hi_core::{DesignPoint, Evaluation, RobustEvaluation};
 
-use hi_core::{crc32_ieee, ChaosPolicy, DesignPoint, Evaluation, RobustEvaluation};
-
-const HEADER: &str = "hi-serve cache segment v1";
+use crate::store::{Codec, FramedStore, StoreMetrics};
 
 /// One persistable cache outcome: a nominal evaluation or a robust
 /// scorecard, tagged with its design point.
@@ -98,40 +76,6 @@ fn push_quad(out: &mut String, eval: &Evaluation) {
     ));
 }
 
-/// Renders one outcome's payload line (no framing, no newline). Floats
-/// travel as exact bit patterns, so a loaded entry seeds the cache with
-/// values bit-identical to the simulation that produced them.
-pub fn render_entry(outcome: &CachedOutcome) -> String {
-    match outcome {
-        CachedOutcome::Nominal { point, eval } => {
-            let mut s = format!("n {:016x}", point.fingerprint());
-            push_quad(&mut s, eval);
-            s
-        }
-        CachedOutcome::Robust { point, card } => {
-            let mut s = format!("r {:016x} {}", point.fingerprint(), card.scenarios.len());
-            push_quad(&mut s, &card.nominal);
-            for scenario in &card.scenarios {
-                push_quad(&mut s, scenario);
-            }
-            s
-        }
-    }
-}
-
-/// Frames a payload as `entry <len> <crc32>\n<payload>\n` bytes.
-pub fn frame_entry(payload: &str) -> Vec<u8> {
-    let mut out = format!(
-        "entry {} {:08x}\n",
-        payload.len(),
-        crc32_ieee(payload.as_bytes())
-    )
-    .into_bytes();
-    out.extend_from_slice(payload.as_bytes());
-    out.push(b'\n');
-    out
-}
-
 /// Reads one evaluation's hex-bit floats. `legacy` entries (written
 /// before latency joined the [`Evaluation`]) carry three values and
 /// load with latency zero; current entries carry four.
@@ -154,611 +98,109 @@ fn take_eval<'a>(
     })
 }
 
-/// Parses one payload line back into a [`CachedOutcome`].
-pub fn parse_entry(payload: &str) -> Result<CachedOutcome, String> {
-    let mut tokens = payload.split_ascii_whitespace();
-    let kind = tokens.next().ok_or("empty entry payload".to_string())?;
-    let fp_token = tokens
-        .next()
-        .ok_or("missing point fingerprint".to_string())?;
-    let fp = u64::from_str_radix(fp_token, 16)
-        .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
-    let point = DesignPoint::from_fingerprint(fp).ok_or(format!(
-        "fingerprint {fp:016x} encodes no valid design point"
-    ))?;
-    // Width detection: an entry is current (four floats per evaluation)
-    // exactly when its token count says so; anything else parses at the
-    // legacy three-float width, whose own missing-field/trailing checks
-    // produce the right diagnostics for malformed counts.
-    let total_tokens = payload.split_ascii_whitespace().count();
-    let outcome = match kind {
-        "n" => CachedOutcome::Nominal {
-            point,
-            eval: take_eval(&mut tokens, "nominal evaluation", total_tokens != 2 + 4)?,
-        },
-        "r" => {
-            let count: usize = tokens
-                .next()
-                .ok_or("missing scenario count".to_string())?
-                .parse()
-                .map_err(|_| "bad scenario count".to_string())?;
-            let legacy =
-                total_tokens != count.saturating_add(1).saturating_mul(4).saturating_add(3);
-            // A megabyte-scale count with no payload behind it must fail
-            // on the missing fields, not pre-allocate.
-            let nominal = take_eval(&mut tokens, "nominal evaluation", legacy)?;
-            let mut scenarios = Vec::with_capacity(count.min(1024));
-            for i in 0..count {
-                scenarios.push(take_eval(&mut tokens, &format!("scenario {i}"), legacy)?);
-            }
-            CachedOutcome::Robust {
-                point,
-                card: RobustEvaluation { nominal, scenarios },
-            }
-        }
-        other => return Err(format!("unknown entry kind `{other}`")),
-    };
-    if tokens.next().is_some() {
-        return Err("trailing fields after entry payload".to_string());
-    }
-    Ok(outcome)
-}
-
-/// The outcome of parsing one segment file.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SegmentLoad {
-    /// The stream key stated in the file's `key` line.
-    pub key: u64,
-    /// Intact entries, in file (append) order.
-    pub entries: Vec<CachedOutcome>,
-    /// `Some(note)` if a torn tail was found after the intact prefix —
-    /// the caller should truncate or rewrite the file before appending.
-    pub torn: Option<String>,
-}
-
-/// Reads one newline-terminated line starting at `pos`. Returns the line
-/// (newline excluded), the position after it, and whether the terminator
-/// was present (`false` means the file ends mid-line — a torn tail).
-fn read_line(bytes: &[u8], pos: usize) -> (&[u8], usize, bool) {
-    match bytes[pos..].iter().position(|&b| b == b'\n') {
-        Some(nl) => (&bytes[pos..pos + nl], pos + nl + 1, true),
-        None => (&bytes[pos..], bytes.len(), false),
-    }
-}
-
-/// A framed file decoded down to its raw entry payloads: the shared
-/// middle layer between [`parse_segment`] and the Pareto front store's
-/// parser (`crate::front`), which differ only in header and payload
-/// grammar.
-#[derive(Debug, Clone, PartialEq)]
-pub(crate) struct RawFramedLoad {
-    /// The stream key stated in the file's `key` line.
-    pub key: u64,
-    /// Intact payloads in append order, each with the byte offset of its
-    /// `entry` header line (for diagnostics).
-    pub payloads: Vec<(String, usize)>,
-    /// `Some(note)` if a torn tail followed the intact prefix.
-    pub torn: Option<String>,
-}
-
-/// Parses the shared framed-file discipline (header line, key line,
-/// `entry <len> <crc32>` frames), separating torn tails from bit rot.
-/// `header` is the exact expected first line; `label` names the format
-/// in not-ours diagnostics.
-pub(crate) fn parse_framed(
-    bytes: &[u8],
-    header_line: &str,
-    label: &str,
-) -> Result<RawFramedLoad, String> {
-    // Header line. A short unterminated prefix of the expected header is
-    // a torn first write; anything else that differs is not our file.
-    let (line, mut pos, terminated) = read_line(bytes, 0);
-    if !terminated {
-        return if header_line.as_bytes().starts_with(line) {
-            Ok(RawFramedLoad {
-                key: 0,
-                payloads: Vec::new(),
-                torn: Some("file torn inside the header line".to_string()),
-            })
-        } else {
-            Err(format!("not a {label} (garbled header)"))
-        };
-    }
-    if line != header_line.as_bytes() {
-        return Err(format!(
-            "not a {label}: expected `{header_line}`, found {} header bytes",
-            line.len()
-        ));
-    }
-    // Key line.
-    let (line, after_key, terminated) = read_line(bytes, pos);
-    if !terminated {
-        return if line.is_empty() || b"key ".starts_with(&line[..line.len().min(4)]) {
-            Ok(RawFramedLoad {
-                key: 0,
-                payloads: Vec::new(),
-                torn: Some("file torn inside the key line".to_string()),
-            })
-        } else {
-            Err(format!("garbled key line at byte {pos}"))
-        };
-    }
-    let key = std::str::from_utf8(line)
-        .ok()
-        .and_then(|l| l.strip_prefix("key "))
-        .and_then(|h| u64::from_str_radix(h, 16).ok())
-        .ok_or(format!("malformed key line at byte {pos}"))?;
-    pos = after_key;
-
-    let mut payloads: Vec<(String, usize)> = Vec::new();
-    let mut index = 0usize;
-    while pos < bytes.len() {
-        let entry_at = pos;
-        let (line, after_header, terminated) = read_line(bytes, pos);
-        if !terminated {
-            return Ok(RawFramedLoad {
-                key,
-                payloads,
-                torn: Some(format!(
-                    "entry {index} header torn at byte {entry_at} (end of file mid-line)"
-                )),
-            });
-        }
-        let header = std::str::from_utf8(line)
-            .map_err(|_| format!("entry {index} header at byte {entry_at} is not UTF-8"))?;
-        let mut fields = header.split_ascii_whitespace();
-        let (len, stated_crc) = match (
-            fields.next(),
-            fields.next().and_then(|t| t.parse::<usize>().ok()),
-            fields.next().and_then(|t| u32::from_str_radix(t, 16).ok()),
-            fields.next(),
-        ) {
-            (Some("entry"), Some(len), Some(crc), None) => (len, crc),
-            _ => {
-                return Err(format!(
-                    "malformed entry {index} header at byte {entry_at}: `{header}`"
-                ))
-            }
-        };
-        let payload_at = after_header;
-        if payload_at + len >= bytes.len() {
-            // Payload (or its terminating newline) runs past the end of
-            // the file: the append died partway through.
-            return Ok(RawFramedLoad {
-                key,
-                payloads,
-                torn: Some(format!(
-                    "entry {index} payload torn at byte {payload_at} \
-                     ({len} bytes declared, {} present)",
-                    bytes.len().saturating_sub(payload_at)
-                )),
-            });
-        }
-        let payload = &bytes[payload_at..payload_at + len];
-        if bytes[payload_at + len] != b'\n' {
-            return Err(format!(
-                "entry {index} framing violated at byte {}: \
-                 declared length {len} does not end at a newline",
-                payload_at + len
-            ));
-        }
-        let actual = crc32_ieee(payload);
-        if actual != stated_crc {
-            return Err(format!(
-                "entry {index} crc32 mismatch at byte {payload_at}: \
-                 header says {stated_crc:08x}, payload hashes to {actual:08x} (bit rot?)"
-            ));
-        }
-        let payload = std::str::from_utf8(payload)
-            .map_err(|_| format!("entry {index} payload at byte {payload_at} is not UTF-8"))?;
-        payloads.push((payload.to_string(), entry_at));
-        pos = payload_at + len + 1;
-        index += 1;
-    }
-    Ok(RawFramedLoad {
-        key,
-        payloads,
-        torn: None,
-    })
-}
-
-/// Parses a segment file, separating torn tails from bit rot.
-///
-/// `Ok` means the intact prefix is trustworthy: `entries` carries it,
-/// and [`SegmentLoad::torn`] notes a truncated tail if the file ends
-/// mid-entry (the crash-during-append signature). `Err` means bit rot —
-/// CRC mismatch, framing violated mid-file, or a garbled header — with a
-/// byte-precise diagnostic; the caller should quarantine the file.
-pub fn parse_segment(bytes: &[u8]) -> Result<SegmentLoad, String> {
-    let raw = parse_framed(bytes, HEADER, "cache segment")?;
-    let mut entries = Vec::with_capacity(raw.payloads.len());
-    for (index, (payload, entry_at)) in raw.payloads.iter().enumerate() {
-        entries.push(
-            parse_entry(payload).map_err(|e| format!("entry {index} at byte {entry_at}: {e}"))?,
-        );
-    }
-    Ok(SegmentLoad {
-        key: raw.key,
-        entries,
-        torn: raw.torn,
-    })
-}
-
-/// Renders a complete segment file (header, key line, framed entries).
-pub fn render_segment(key: u64, entries: &[CachedOutcome]) -> Vec<u8> {
-    let mut out = format!("{HEADER}\nkey {key:016x}\n").into_bytes();
-    for outcome in entries {
-        out.extend_from_slice(&frame_entry(&render_entry(outcome)));
-    }
-    out
-}
-
-/// The segment path for stream `key` under `cache_dir`.
-pub fn segment_path(cache_dir: &Path, key: u64) -> PathBuf {
-    cache_dir.join(format!("cache-{key:016x}.seg"))
-}
-
-/// What one [`SegmentStore::settle`] call did, for logging and metrics.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SettleOutcome {
-    /// Entries newly persisted (appended or folded into a compaction).
-    pub persisted: usize,
-    /// True if the whole file was compacted (atomic rewrite).
-    pub compacted: bool,
-    /// True if chaos injection silently dropped this batch.
-    pub chaos_dropped: bool,
-    /// True if chaos injection tore the batch's final entry.
-    pub chaos_torn: bool,
-}
-
-#[derive(Debug, Default)]
-struct KeyState {
-    /// Point fingerprints known to be durably on disk.
-    persisted: BTreeSet<u64>,
-    /// Appends since the file was last fully rewritten.
-    appends_since_compact: u32,
-    /// Settle-batch counter: the chaos roll index, so injection is a
-    /// pure function of `(key, batch)` and replays identically.
-    sequence: u32,
-    /// Set after a chaos-torn append: the file tail is garbage, so the
-    /// next settle must compact (rewrite) instead of appending after it.
-    needs_compact: bool,
-}
-
-/// The durable side of the fleet pool: one append-mostly segment file
-/// per evaluator stream, loaded and verified at daemon start.
-///
-/// Writes happen on the scheduler thread (jobs run serially), reads at
-/// startup; the mutex is for the occasional STATS reader.
+/// The cache segment's payload grammar: one [`CachedOutcome`] per entry.
 #[derive(Debug)]
-pub struct SegmentStore {
-    dir: PathBuf,
-    compact_threshold: u32,
-    chaos: Option<ChaosPolicy>,
-    state: Mutex<BTreeMap<u64, KeyState>>,
-    /// Entries recovered at open, waiting for their stream's first
-    /// evaluator build to claim them.
-    preloaded: Mutex<BTreeMap<u64, Vec<CachedOutcome>>>,
-    loaded: AtomicU64,
-    persisted_total: AtomicU64,
-    compactions: AtomicU64,
-    quarantined: AtomicU64,
-}
+pub struct CacheCodec;
 
-/// Cumulative [`SegmentStore`] counters, mirrored into the
-/// `serve.cache.*` wellknown metrics and printed by `STATS`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct SegmentStats {
-    /// Entries loaded back from disk at open.
-    pub loaded: u64,
-    /// Entries written durably (appends + compaction folds).
-    pub persisted: u64,
-    /// Full-file compactions performed.
-    pub compactions: u64,
-    /// Files quarantined for bit rot at open.
-    pub quarantined: u64,
-}
+/// The durable side of the fleet pool: one append-mostly `cache-*.seg`
+/// per evaluator stream.
+pub type SegmentStore = FramedStore<CacheCodec>;
 
-impl SegmentStore {
-    /// Opens (creating if needed) the segment directory, loading and
-    /// verifying every segment in it. Returns the store plus
-    /// human-readable notes for anything abnormal: torn tails truncated,
-    /// bit-rotted files quarantined. Notes are diagnostics, not errors —
-    /// the daemon always starts; damaged streams just start cold.
-    pub fn open(
-        dir: PathBuf,
-        compact_threshold: u32,
-        chaos: Option<ChaosPolicy>,
-    ) -> std::io::Result<(Self, Vec<String>)> {
-        std::fs::create_dir_all(&dir)?;
-        let store = Self {
-            dir,
-            compact_threshold: compact_threshold.max(1),
-            chaos,
-            state: Mutex::new(BTreeMap::new()),
-            preloaded: Mutex::new(BTreeMap::new()),
-            loaded: AtomicU64::new(0),
-            persisted_total: AtomicU64::new(0),
-            compactions: AtomicU64::new(0),
-            quarantined: AtomicU64::new(0),
-        };
-        let notes = store.load_existing()?;
-        Ok((store, notes))
-    }
+impl Codec for CacheCodec {
+    type Item = CachedOutcome;
+    const HEADER: &'static str = "hi-serve cache segment v1";
+    const PREFIX: &'static str = "cache";
+    const LABEL: &'static str = "cache segment";
+    const ITEMS: &'static str = "entries";
+    const COLD: &'static str = "stream";
+    const METRICS: StoreMetrics = StoreMetrics {
+        loaded: hi_trace::wellknown::SERVE_CACHE_LOADED,
+        persisted: hi_trace::wellknown::SERVE_CACHE_PERSISTED,
+        compactions: hi_trace::wellknown::SERVE_CACHE_COMPACTIONS,
+        quarantined: hi_trace::wellknown::SERVE_CACHE_QUARANTINED,
+    };
+    const EXACT_FLUSH: bool = false;
 
-    /// The directory segments live in.
-    pub fn dir(&self) -> &Path {
-        &self.dir
-    }
-
-    fn load_existing(&self) -> std::io::Result<Vec<String>> {
-        let mut notes = Vec::new();
-        let mut keys: Vec<u64> = std::fs::read_dir(&self.dir)?
-            .filter_map(|e| e.ok())
-            .filter_map(|e| {
-                let name = e.file_name();
-                let name = name.to_str()?;
-                u64::from_str_radix(name.strip_prefix("cache-")?.strip_suffix(".seg")?, 16).ok()
-            })
-            .collect();
-        keys.sort_unstable();
-        keys.dedup();
-        for key in keys {
-            let path = segment_path(&self.dir, key);
-            let bytes = match std::fs::read(&path) {
-                Ok(b) => b,
-                Err(e) => {
-                    notes.push(format!("{}: unreadable: {e}", path.display()));
-                    continue;
+    /// Floats travel as exact bit patterns, so a loaded entry seeds the
+    /// cache with values bit-identical to the simulation that produced
+    /// them.
+    fn render(outcome: &CachedOutcome) -> String {
+        match outcome {
+            CachedOutcome::Nominal { point, eval } => {
+                let mut s = format!("n {:016x}", point.fingerprint());
+                push_quad(&mut s, eval);
+                s
+            }
+            CachedOutcome::Robust { point, card } => {
+                let mut s = format!("r {:016x} {}", point.fingerprint(), card.scenarios.len());
+                push_quad(&mut s, &card.nominal);
+                for scenario in &card.scenarios {
+                    push_quad(&mut s, scenario);
                 }
-            };
-            match parse_segment(&bytes) {
-                Ok(load) => {
-                    if !load.entries.is_empty() && load.key != key {
-                        // The file claims to belong to a different
-                        // stream — misplaced or renamed by hand. Seeding
-                        // it under this key would serve wrong physics.
-                        self.quarantine(
-                            &path,
-                            &mut notes,
-                            &format!(
-                                "key line says {:016x} but the file is named for {key:016x}",
-                                load.key
-                            ),
-                        );
-                        continue;
-                    }
-                    if let Some(torn) = &load.torn {
-                        // Repair in place: rewrite the intact prefix
-                        // atomically so future appends land on a clean
-                        // tail.
-                        let repaired = render_segment(key, &load.entries);
-                        write_atomic_bytes(&path, &repaired)?;
-                        notes.push(format!(
-                            "{}: torn tail truncated ({torn}); {} entries recovered",
-                            path.display(),
-                            load.entries.len()
-                        ));
-                    }
-                    hi_trace::counter(
-                        hi_trace::wellknown::SERVE_CACHE_LOADED,
-                        load.entries.len() as u64,
-                    );
-                    self.loaded
-                        .fetch_add(load.entries.len() as u64, Ordering::Relaxed);
-                    let mut state = self.state.lock().expect("segment store poisoned");
-                    let entry = state.entry(key).or_default();
-                    entry
-                        .persisted
-                        .extend(load.entries.iter().map(CachedOutcome::fingerprint));
-                    drop(state);
-                    if !load.entries.is_empty() {
-                        self.preloaded
-                            .lock()
-                            .expect("segment store poisoned")
-                            .insert(key, load.entries);
-                    }
+                s
+            }
+        }
+    }
+
+    fn parse(payload: &str) -> Result<CachedOutcome, String> {
+        let mut tokens = payload.split_ascii_whitespace();
+        let kind = tokens.next().ok_or("empty entry payload".to_string())?;
+        let fp_token = tokens
+            .next()
+            .ok_or("missing point fingerprint".to_string())?;
+        let fp = u64::from_str_radix(fp_token, 16)
+            .map_err(|_| format!("bad point fingerprint `{fp_token}`"))?;
+        let point = DesignPoint::from_fingerprint(fp).ok_or(format!(
+            "fingerprint {fp:016x} encodes no valid design point"
+        ))?;
+        // Width detection: an entry is current (four floats per
+        // evaluation) exactly when its token count says so; anything else
+        // parses at the legacy three-float width, whose own
+        // missing-field/trailing checks produce the right diagnostics for
+        // malformed counts.
+        let total_tokens = payload.split_ascii_whitespace().count();
+        let outcome = match kind {
+            "n" => CachedOutcome::Nominal {
+                point,
+                eval: take_eval(&mut tokens, "nominal evaluation", total_tokens != 2 + 4)?,
+            },
+            "r" => {
+                let count: usize = tokens
+                    .next()
+                    .ok_or("missing scenario count".to_string())?
+                    .parse()
+                    .map_err(|_| "bad scenario count".to_string())?;
+                let legacy =
+                    total_tokens != count.saturating_add(1).saturating_mul(4).saturating_add(3);
+                // A megabyte-scale count with no payload behind it must
+                // fail on the missing fields, not pre-allocate.
+                let nominal = take_eval(&mut tokens, "nominal evaluation", legacy)?;
+                let mut scenarios = Vec::with_capacity(count.min(1024));
+                for i in 0..count {
+                    scenarios.push(take_eval(&mut tokens, &format!("scenario {i}"), legacy)?);
                 }
-                Err(diag) => self.quarantine(&path, &mut notes, &diag),
+                CachedOutcome::Robust {
+                    point,
+                    card: RobustEvaluation { nominal, scenarios },
+                }
             }
-        }
-        Ok(notes)
-    }
-
-    fn quarantine(&self, path: &Path, notes: &mut Vec<String>, diag: &str) {
-        let mut target = path.as_os_str().to_os_string();
-        target.push(".quarantine");
-        let verdict = match std::fs::rename(path, &target) {
-            Ok(()) => format!("quarantined as {}", PathBuf::from(&target).display()),
-            Err(e) => format!("quarantine rename failed ({e}); file left in place, ignored"),
+            other => return Err(format!("unknown entry kind `{other}`")),
         };
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_QUARANTINED, 1);
-        self.quarantined.fetch_add(1, Ordering::Relaxed);
-        notes.push(format!(
-            "{}: bit rot: {diag}; {verdict}; stream starts cold",
-            path.display()
-        ));
+        if tokens.next().is_some() {
+            return Err("trailing fields after entry payload".to_string());
+        }
+        Ok(outcome)
     }
 
-    /// Claims the entries recovered for `key` at open, if any. Intended
-    /// for the stream's evaluator-build closure: seed each returned
-    /// outcome before the first job touches the evaluator.
-    pub fn hydrate(&self, key: u64) -> Vec<CachedOutcome> {
-        self.preloaded
-            .lock()
-            .expect("segment store poisoned")
-            .remove(&key)
-            .unwrap_or_default()
+    fn fingerprint(outcome: &CachedOutcome) -> u64 {
+        outcome.fingerprint()
     }
-
-    /// Persists whatever `export` holds that disk does not: the settle
-    /// path, called after each job completes with the stream's full
-    /// `Ok`-outcome snapshot. Entries already persisted are skipped;
-    /// fresh ones are appended (one fsync per batch), and every
-    /// `compact_threshold` appends the file is rewritten atomically
-    /// instead, folding the tail.
-    pub fn settle(&self, key: u64, export: &[CachedOutcome]) -> std::io::Result<SettleOutcome> {
-        let mut state = self.state.lock().expect("segment store poisoned");
-        let entry = state.entry(key).or_default();
-        let fresh: Vec<&CachedOutcome> = export
-            .iter()
-            .filter(|o| !entry.persisted.contains(&o.fingerprint()))
-            .collect();
-        if fresh.is_empty() {
-            return Ok(SettleOutcome::default());
-        }
-        let sequence = entry.sequence;
-        entry.sequence += 1;
-        if let Some(chaos) = &self.chaos {
-            if chaos.drops_segment(key, sequence) {
-                // The batch silently never reaches disk — the crash-consistency
-                // story must absorb it. Not marked persisted, so a later
-                // batch (different roll) retries these points.
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
-                return Ok(SettleOutcome {
-                    chaos_dropped: true,
-                    ..SettleOutcome::default()
-                });
-            }
-        }
-        let path = segment_path(&self.dir, key);
-        let compact =
-            entry.needs_compact || entry.appends_since_compact + 1 >= self.compact_threshold;
-        if compact {
-            write_atomic_bytes(&path, &render_segment(key, export))?;
-            entry.persisted = export.iter().map(CachedOutcome::fingerprint).collect();
-            entry.appends_since_compact = 0;
-            entry.needs_compact = false;
-            hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-            hi_trace::counter(
-                hi_trace::wellknown::SERVE_CACHE_PERSISTED,
-                fresh.len() as u64,
-            );
-            self.compactions.fetch_add(1, Ordering::Relaxed);
-            self.persisted_total
-                .fetch_add(fresh.len() as u64, Ordering::Relaxed);
-            return Ok(SettleOutcome {
-                persisted: fresh.len(),
-                compacted: true,
-                ..SettleOutcome::default()
-            });
-        }
-        let mut batch = Vec::new();
-        let mut complete = Vec::new();
-        for outcome in &fresh {
-            batch.extend_from_slice(&frame_entry(&render_entry(outcome)));
-            complete.push(outcome.fingerprint());
-        }
-        let mut chaos_torn = false;
-        if let Some(chaos) = &self.chaos {
-            if chaos.tears_segment(key, sequence) {
-                // Simulate a crash mid-append: only a prefix of the last
-                // frame reaches disk. The entry is not marked persisted,
-                // and the next settle compacts over the garbage tail —
-                // exactly what restart recovery would do.
-                let last = frame_entry(&render_entry(fresh[fresh.len() - 1]));
-                batch.truncate(batch.len() - last.len() + last.len() / 2);
-                complete.pop();
-                chaos_torn = true;
-                hi_trace::counter(hi_trace::wellknown::EXEC_CHAOS_EVENTS, 1);
-            }
-        }
-        {
-            let mut file = std::fs::OpenOptions::new()
-                .create(true)
-                .append(true)
-                .open(&path)?;
-            if file.metadata()?.len() == 0 {
-                file.write_all(format!("{HEADER}\nkey {key:016x}\n").as_bytes())?;
-            }
-            file.write_all(&batch)?;
-            file.sync_all()?;
-        }
-        let persisted = complete.len();
-        entry.persisted.extend(complete);
-        entry.appends_since_compact += 1;
-        entry.needs_compact = chaos_torn;
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_PERSISTED, persisted as u64);
-        self.persisted_total
-            .fetch_add(persisted as u64, Ordering::Relaxed);
-        Ok(SettleOutcome {
-            persisted,
-            chaos_torn,
-            ..SettleOutcome::default()
-        })
-    }
-
-    /// Drain-time flush: compacts `key`'s segment unconditionally from
-    /// the stream's full snapshot, leaving one clean, tear-free file for
-    /// the next process. Called by SHUTDOWN after the queue drains.
-    pub fn flush(&self, key: u64, export: &[CachedOutcome]) -> std::io::Result<()> {
-        if export.is_empty() {
-            return Ok(());
-        }
-        let mut state = self.state.lock().expect("segment store poisoned");
-        let entry = state.entry(key).or_default();
-        let path = segment_path(&self.dir, key);
-        // Skip the rewrite only if disk provably holds everything and no
-        // chaos tear is pending.
-        let clean = !entry.needs_compact
-            && path.exists()
-            && export
-                .iter()
-                .all(|o| entry.persisted.contains(&o.fingerprint()));
-        if clean {
-            return Ok(());
-        }
-        write_atomic_bytes(&path, &render_segment(key, export))?;
-        entry.persisted = export.iter().map(CachedOutcome::fingerprint).collect();
-        entry.appends_since_compact = 0;
-        entry.needs_compact = false;
-        hi_trace::counter(hi_trace::wellknown::SERVE_CACHE_COMPACTIONS, 1);
-        self.compactions.fetch_add(1, Ordering::Relaxed);
-        Ok(())
-    }
-
-    /// Cumulative counters since open.
-    pub fn stats(&self) -> SegmentStats {
-        SegmentStats {
-            loaded: self.loaded.load(Ordering::Relaxed),
-            persisted: self.persisted_total.load(Ordering::Relaxed),
-            compactions: self.compactions.load(Ordering::Relaxed),
-            quarantined: self.quarantined.load(Ordering::Relaxed),
-        }
-    }
-
-    /// Number of entries known durable for `key` (tests and STATS).
-    pub fn persisted_len(&self, key: u64) -> usize {
-        self.state
-            .lock()
-            .expect("segment store poisoned")
-            .get(&key)
-            .map_or(0, |s| s.persisted.len())
-    }
-}
-
-/// The PR-5 atomic-write discipline for raw bytes: stage to `.tmp`,
-/// fsync, rotate the old file to `.prev`, rename into place.
-pub(crate) fn write_atomic_bytes(path: &Path, bytes: &[u8]) -> std::io::Result<()> {
-    let mut tmp = path.as_os_str().to_os_string();
-    tmp.push(".tmp");
-    let tmp = PathBuf::from(tmp);
-    {
-        let mut file = std::fs::File::create(&tmp)?;
-        file.write_all(bytes)?;
-        file.sync_all()?;
-    }
-    if path.exists() {
-        let mut prev = path.as_os_str().to_os_string();
-        prev.push(".prev");
-        let _ = std::fs::rename(path, PathBuf::from(prev));
-    }
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::store::tests::{self as store, Fixture};
     use hi_core::{MacChoice, Placement, RouteChoice};
     use hi_net::TxPower;
 
@@ -801,17 +243,20 @@ mod tests {
         }
     }
 
-    fn tmpdir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("hi-seg-{tag}-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        std::fs::create_dir_all(&dir).unwrap();
-        dir
+    impl Fixture for CacheCodec {
+        fn item(i: u8) -> CachedOutcome {
+            if i % 2 == 1 {
+                robust(i)
+            } else {
+                nominal(i)
+            }
+        }
     }
 
     #[test]
     fn entries_roundtrip_bit_for_bit() {
         for outcome in [nominal(0), robust(1)] {
-            let parsed = parse_entry(&render_entry(&outcome)).unwrap();
+            let parsed = CacheCodec::parse(&CacheCodec::render(&outcome)).unwrap();
             assert_eq!(parsed, outcome);
         }
         // NaN and infinities survive via bit patterns.
@@ -824,7 +269,7 @@ mod tests {
                 latency_ms: f64::MIN_POSITIVE,
             },
         };
-        match parse_entry(&render_entry(&weird)).unwrap() {
+        match CacheCodec::parse(&CacheCodec::render(&weird)).unwrap() {
             CachedOutcome::Nominal { eval, .. } => {
                 assert!(eval.pdr.is_nan());
                 assert_eq!(eval.nlt_days, f64::INFINITY);
@@ -840,7 +285,7 @@ mod tests {
         // evaluation; they must still hydrate (latency zero), and the
         // width detection must not misread a current robust entry.
         let legacy_n = "n 0000000000000216 3fee666666666666 4056ab851eb851ec 3ff3ae147ae147ae";
-        match parse_entry(legacy_n).unwrap() {
+        match CacheCodec::parse(legacy_n).unwrap() {
             CachedOutcome::Nominal { eval, .. } => {
                 assert_eq!(eval.pdr, f64::from_bits(0x3fee666666666666));
                 assert_eq!(eval.latency_ms.to_bits(), 0.0f64.to_bits());
@@ -850,7 +295,7 @@ mod tests {
         let legacy_r = "r 0000000000000216 1 \
                         3fee666666666666 4056ab851eb851ec 3ff3ae147ae147ae \
                         3fe0000000000000 4040000000000000 3ff8000000000000";
-        match parse_entry(legacy_r).unwrap() {
+        match CacheCodec::parse(legacy_r).unwrap() {
             CachedOutcome::Robust { card, .. } => {
                 assert_eq!(card.scenarios.len(), 1);
                 assert_eq!(card.nominal.latency_ms.to_bits(), 0.0f64.to_bits());
@@ -863,47 +308,33 @@ mod tests {
     #[test]
     fn segments_roundtrip_and_report_their_key() {
         let entries = vec![nominal(0), robust(1), nominal(2)];
-        let bytes = render_segment(0xabc, &entries);
-        let load = parse_segment(&bytes).unwrap();
+        let bytes = SegmentStore::render(0xabc, &entries);
+        let load = SegmentStore::parse(&bytes).unwrap();
         assert_eq!(load.key, 0xabc);
-        assert_eq!(load.entries, entries);
+        assert_eq!(load.items, entries);
         assert_eq!(load.torn, None);
     }
 
     #[test]
     fn torn_tails_keep_the_intact_prefix() {
-        let entries = vec![nominal(0), robust(1)];
-        let bytes = render_segment(7, &entries);
-        let first_entry_end = render_segment(7, &entries[..1]).len();
-        // Any truncation point strictly inside the second entry must
-        // recover exactly the first.
-        for cut in (first_entry_end + 1)..bytes.len() {
-            let load = parse_segment(&bytes[..cut]).unwrap();
-            assert_eq!(load.entries, entries[..1], "cut at {cut}");
-            assert!(load.torn.is_some(), "cut at {cut}");
-        }
-        // Truncation at the exact boundary is indistinguishable from a
-        // shorter (clean) file.
-        let load = parse_segment(&bytes[..first_entry_end]).unwrap();
-        assert_eq!(load.entries, entries[..1]);
-        assert_eq!(load.torn, None);
+        store::check_torn_prefix::<CacheCodec>();
     }
 
     #[test]
     fn payload_corruption_is_bit_rot_not_torn() {
-        let bytes = render_segment(7, &[nominal(0), nominal(2)]);
+        let bytes = SegmentStore::render(7, &[nominal(0), nominal(2)]);
         let text = String::from_utf8(bytes.clone()).unwrap();
         let payload_at = text.find("\nn ").unwrap() + 1;
         let mut rotted = bytes.clone();
         rotted[payload_at + 5] ^= 0x04;
-        let err = parse_segment(&rotted).unwrap_err();
+        let err = SegmentStore::parse(&rotted).unwrap_err();
         assert!(err.contains("crc32 mismatch"), "{err}");
         // Framing violation mid-file (length that does not land on a
         // newline) is also bit rot.
         let mut bad_frame = text.clone();
         let at = bad_frame.find("entry ").unwrap();
         bad_frame.replace_range(at..at + 7, "entry 9");
-        let err = parse_segment(bad_frame.as_bytes()).unwrap_err();
+        let err = SegmentStore::parse(bad_frame.as_bytes()).unwrap_err();
         assert!(
             err.contains("framing") || err.contains("crc32") || err.contains("malformed"),
             "{err}"
@@ -912,142 +343,31 @@ mod tests {
 
     #[test]
     fn store_settles_hydrates_and_recovers_across_reopen() {
-        let dir = tmpdir("reopen");
-        let key = 0x51;
-        {
-            let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-            assert!(notes.is_empty(), "{notes:?}");
-            let out = store.settle(key, &[nominal(0), robust(1)]).unwrap();
-            assert_eq!(out.persisted, 2);
-            // Settling the same snapshot again is a no-op.
-            let again = store.settle(key, &[nominal(0), robust(1)]).unwrap();
-            assert_eq!(again.persisted, 0);
-            // A grown snapshot appends only the delta.
-            let grown = store
-                .settle(key, &[nominal(0), robust(1), nominal(2)])
-                .unwrap();
-            assert_eq!(grown.persisted, 1);
-            assert_eq!(store.persisted_len(key), 3);
-        }
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.is_empty(), "{notes:?}");
-        let recovered = store.hydrate(key);
-        assert_eq!(recovered, vec![nominal(0), robust(1), nominal(2)]);
-        // Hydrate drains: a second call returns nothing.
-        assert!(store.hydrate(key).is_empty());
-        assert_eq!(store.persisted_len(key), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_reopen::<CacheCodec>();
     }
 
     #[test]
     fn torn_files_are_repaired_and_rotted_files_quarantined_at_open() {
-        let dir = tmpdir("repair");
-        let torn_key = 0x60;
-        let rotted_key = 0x61;
-        let bytes = render_segment(torn_key, &[nominal(0), nominal(1)]);
-        std::fs::write(segment_path(&dir, torn_key), &bytes[..bytes.len() - 3]).unwrap();
-        let mut rotted = render_segment(rotted_key, &[nominal(2)]);
-        let flip_at = rotted.len() - 10;
-        rotted[flip_at] ^= 0x01;
-        std::fs::write(segment_path(&dir, rotted_key), &rotted).unwrap();
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert_eq!(notes.len(), 2, "{notes:?}");
-        assert!(
-            notes.iter().any(|n| n.contains("torn tail truncated")),
-            "{notes:?}"
-        );
-        assert!(notes.iter().any(|n| n.contains("bit rot")), "{notes:?}");
-        assert_eq!(store.hydrate(torn_key), vec![nominal(0)]);
-        assert!(store.hydrate(rotted_key).is_empty());
-        assert!(segment_path(&dir, rotted_key)
-            .with_extension("seg.quarantine")
-            .exists());
-        // The repaired file parses clean on a third open.
-        let repaired = std::fs::read(segment_path(&dir, torn_key)).unwrap();
-        let load = parse_segment(&repaired).unwrap();
-        assert_eq!(load.torn, None);
-        assert_eq!(load.entries, vec![nominal(0)]);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_repair::<CacheCodec>();
     }
 
     #[test]
     fn compaction_folds_the_append_tail() {
-        let dir = tmpdir("compact");
-        let key = 0x70;
-        let (store, _) = SegmentStore::open(dir.clone(), 2, None).unwrap();
-        let mut snapshot = vec![nominal(0)];
-        store.settle(key, &snapshot).unwrap();
-        snapshot.push(nominal(1));
-        // Second append hits the threshold: the file is rewritten whole.
-        let out = store.settle(key, &snapshot).unwrap();
-        assert!(out.compacted);
-        snapshot.push(nominal(2));
-        let out = store.settle(key, &snapshot).unwrap();
-        assert!(!out.compacted);
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert_eq!(load.entries.len(), 3);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_compaction::<CacheCodec>();
     }
 
     #[test]
     fn chaos_torn_append_recovers_via_forced_compaction() {
-        let dir = tmpdir("chaos");
-        let key = 0x80;
-        // torn=1 tears every batch; drops off.
-        let chaos = ChaosPolicy::parse("seed=5,torn=1").unwrap();
-        let (store, _) = SegmentStore::open(dir.clone(), 256, Some(chaos)).unwrap();
-        let out = store.settle(key, &[nominal(0)]).unwrap();
-        assert!(out.chaos_torn);
-        assert_eq!(out.persisted, 0);
-        // The file now has a garbage tail; parse sees a torn entry.
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert!(load.torn.is_some());
-        // The next settle compacts over it (atomic rewrite is immune to
-        // the append-tear injection), leaving a clean file.
-        let out = store.settle(key, &[nominal(0), nominal(1)]).unwrap();
-        assert!(out.compacted);
-        assert_eq!(out.persisted, 2);
-        let bytes = std::fs::read(segment_path(&dir, key)).unwrap();
-        let load = parse_segment(&bytes).unwrap();
-        assert_eq!(load.torn, None);
-        assert_eq!(load.entries.len(), 2);
-        // A fully dropped batch leaves no file at all for a fresh key.
-        let dropping = ChaosPolicy::parse("seed=5,segdrop=1").unwrap();
-        let (store2, _) = SegmentStore::open(tmpdir("chaos2"), 256, Some(dropping)).unwrap();
-        let out = store2.settle(key, &[nominal(0)]).unwrap();
-        assert!(out.chaos_dropped);
-        assert!(!segment_path(store2.dir(), key).exists());
-        std::fs::remove_dir_all(&dir).unwrap();
-        std::fs::remove_dir_all(store2.dir()).unwrap();
+        store::check_chaos::<CacheCodec>();
     }
 
     #[test]
     fn flush_leaves_one_clean_file() {
-        let dir = tmpdir("flush");
-        let key = 0x90;
-        let (store, _) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        store.settle(key, &[nominal(0)]).unwrap();
-        store.flush(key, &[nominal(0), nominal(1)]).unwrap();
-        let load = parse_segment(&std::fs::read(segment_path(&dir, key)).unwrap()).unwrap();
-        assert_eq!(load.entries.len(), 2);
-        assert_eq!(load.torn, None);
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_flush::<CacheCodec>();
     }
 
     #[test]
     fn miskeyed_segment_files_are_quarantined() {
-        let dir = tmpdir("miskey");
-        // A file named for key 0xAA whose key line says 0xBB.
-        std::fs::write(
-            segment_path(&dir, 0xAA),
-            render_segment(0xBB, &[nominal(0)]),
-        )
-        .unwrap();
-        let (store, notes) = SegmentStore::open(dir.clone(), 256, None).unwrap();
-        assert!(notes.iter().any(|n| n.contains("named for")), "{notes:?}");
-        assert!(store.hydrate(0xAA).is_empty());
-        std::fs::remove_dir_all(&dir).unwrap();
+        store::check_miskeyed::<CacheCodec>();
     }
 }

@@ -1076,6 +1076,17 @@ pub fn serve_connection<R: BufRead, W: Write>(
     }
 }
 
+/// Socket options for a stream [`run`] accepted. A peer that stalls
+/// mid-request (or vanishes without a FIN) trips the timeout and the
+/// connection thread is reaped, instead of holding its WAIT stream
+/// forever. `TCP_NODELAY` sends each small WAIT progress frame at once:
+/// with Nagle on, a frame waits for the client's delayed ACK.
+fn tune_accepted(stream: &std::net::TcpStream, timeout: Option<std::time::Duration>) {
+    let _ = stream.set_read_timeout(timeout);
+    let _ = stream.set_write_timeout(timeout);
+    let _ = stream.set_nodelay(true);
+}
+
 /// Runs the daemon to completion: binds the TCP listener (writing the
 /// actual address to `<state_dir>/addr`), starts the stdio frontend if
 /// configured, and drives the scheduler on the calling thread until a
@@ -1104,11 +1115,7 @@ pub fn run(config: ServeConfig) -> Result<(), String> {
         std::thread::spawn(move || {
             for stream in listener.incoming() {
                 let Ok(stream) = stream else { continue };
-                // A peer that stalls mid-request (or vanishes without a
-                // FIN) trips the timeout and the connection thread is
-                // reaped, instead of holding its WAIT stream forever.
-                let _ = stream.set_read_timeout(conn_timeout);
-                let _ = stream.set_write_timeout(conn_timeout);
+                tune_accepted(&stream, conn_timeout);
                 let conn_server = Arc::clone(&accept_server);
                 std::thread::spawn(move || {
                     let Ok(read_half) = stream.try_clone() else {
@@ -1507,5 +1514,18 @@ mod tests {
             let _ = std::fs::remove_dir_all(&config.state_dir);
         }
         assert_eq!(blocks[0], blocks[1], "front depends on thread count");
+    }
+
+    #[test]
+    fn accepted_streams_disable_nagle_and_keep_their_timeouts() {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let _client = std::net::TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        assert!(!accepted.nodelay().unwrap(), "loopback default is Nagle on");
+        let timeout = Some(std::time::Duration::from_secs(7));
+        tune_accepted(&accepted, timeout);
+        assert!(accepted.nodelay().unwrap());
+        assert_eq!(accepted.read_timeout().unwrap(), timeout);
+        assert_eq!(accepted.write_timeout().unwrap(), timeout);
     }
 }

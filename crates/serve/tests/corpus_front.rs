@@ -1,6 +1,6 @@
 //! Corpus fuzz tests for the Pareto-front segment format
-//! (`parse_front_segment` / `parse_front_entry` /
-//! `render_front_segment`), in the same idiom as `corpus_segments.rs`.
+//! (`FrontStore::parse` / `FrontCodec::parse` / `FrontStore::render`),
+//! in the same idiom as `corpus_segments.rs`.
 //!
 //! The front segment shares the cache segment's framing discipline —
 //! torn tails are recoverable prefixes, CRC mismatches fail the whole
@@ -18,9 +18,9 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::PathBuf;
 
 use hi_core::{parse_fault_suite, ExploreCheckpoint};
+use hi_pareto::FrontPoint;
 use hi_serve::{
-    frame_entry, parse_front_segment, parse_profiles, parse_segment, render_front_entry,
-    render_front_segment, FrontLoad, JobRecord,
+    frame_entry, parse_profiles, Codec, FramedLoad, FrontCodec, FrontStore, JobRecord, SegmentStore,
 };
 
 fn corpus_dir() -> PathBuf {
@@ -33,44 +33,44 @@ fn corpus_bytes(name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("corpus file {} unreadable: {e}", path.display()))
 }
 
-/// `parse_front_segment` must return — Ok or Err — on `bytes`, never
+/// `FrontStore::parse` must return — Ok or Err — on `bytes`, never
 /// panic.
-fn parse_survives(context: &str, bytes: &[u8]) -> Result<FrontLoad, String> {
-    catch_unwind(AssertUnwindSafe(|| parse_front_segment(bytes)))
+fn parse_survives(context: &str, bytes: &[u8]) -> Result<FramedLoad<FrontPoint>, String> {
+    catch_unwind(AssertUnwindSafe(|| FrontStore::parse(bytes)))
         .unwrap_or_else(|_| panic!("front parser panicked on {context}"))
 }
 
 #[test]
 fn the_wellformed_seed_parses_and_roundtrips() {
     let bytes = corpus_bytes("front_warm.seg");
-    let load = parse_front_segment(&bytes).expect("the committed warm front is valid");
+    let load = FrontStore::parse(&bytes).expect("the committed warm front is valid");
     assert!(load.torn.is_none(), "{:?}", load.torn);
-    assert!(load.points.len() >= 8, "suspiciously small seed");
+    assert!(load.items.len() >= 8, "suspiciously small seed");
     // Render-parse roundtrip is byte-identical: the seed really is in
     // canonical form, so compaction rewrites are stable.
-    let rendered = render_front_segment(load.key, &load.points);
+    let rendered = FrontStore::render(load.key, &load.items);
     assert_eq!(rendered, bytes);
 }
 
 #[test]
 fn the_torn_seed_keeps_its_intact_prefix() {
-    let warm = parse_front_segment(&corpus_bytes("front_warm.seg")).unwrap();
-    let torn = parse_front_segment(&corpus_bytes("front_torn.seg"))
+    let warm = FrontStore::parse(&corpus_bytes("front_warm.seg")).unwrap();
+    let torn = FrontStore::parse(&corpus_bytes("front_torn.seg"))
         .expect("a torn tail is recoverable, not fatal");
     let note = torn.torn.expect("the tear must be reported");
     assert!(note.contains("torn"), "{note}");
     assert_eq!(torn.key, warm.key);
     assert_eq!(
-        torn.points.len(),
-        warm.points.len() - 1,
+        torn.items.len(),
+        warm.items.len() - 1,
         "exactly the final, half-written point is lost"
     );
-    assert_eq!(torn.points, warm.points[..warm.points.len() - 1]);
+    assert_eq!(torn.items, warm.items[..warm.items.len() - 1]);
 }
 
 #[test]
 fn the_bit_rot_seed_is_rejected_whole() {
-    let err = parse_front_segment(&corpus_bytes("front_bit_rot.seg"))
+    let err = FrontStore::parse(&corpus_bytes("front_bit_rot.seg"))
         .expect_err("a CRC mismatch mid-file is bit rot, not a tear");
     assert!(err.contains("crc"), "diagnostic must name the check: {err}");
 }
@@ -78,7 +78,7 @@ fn the_bit_rot_seed_is_rejected_whole() {
 #[test]
 fn truncation_at_every_byte_never_panics_and_never_misloads() {
     let bytes = corpus_bytes("front_warm.seg");
-    let full = parse_front_segment(&bytes).unwrap();
+    let full = FrontStore::parse(&bytes).unwrap();
     // Clean cut points: after the key line and after each framed entry.
     // A cut exactly there is indistinguishable from a complete shorter
     // file — the append-only format's one honest blind spot. Everywhere
@@ -92,8 +92,8 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
         .nth(1)
         .expect("header and key lines exist");
     boundaries.push(edge);
-    for point in &full.points {
-        edge += frame_entry(&render_front_entry(point)).len();
+    for point in &full.items {
+        edge += frame_entry(&FrontCodec::render(point)).len();
         boundaries.push(edge);
     }
     for cut in 0..bytes.len() {
@@ -102,8 +102,8 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
             // Whatever survives a cut must be a *prefix* of the truth —
             // never a reordering, never an invented point — and a cut
             // off a frame boundary must be flagged torn.
-            assert!(load.points.len() <= full.points.len());
-            assert_eq!(load.points, full.points[..load.points.len()], "cut {cut}");
+            assert!(load.items.len() <= full.items.len());
+            assert_eq!(load.items, full.items[..load.items.len()], "cut {cut}");
             assert!(
                 load.torn.is_some() || boundaries.contains(&cut),
                 "silent data loss at cut {cut}"
@@ -112,21 +112,21 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
     }
     // And the empty file is a torn (empty) front, not an error: a crash
     // can land exactly between create and first write.
-    let load = parse_front_segment(b"").unwrap();
-    assert!(load.points.is_empty());
+    let load = FrontStore::parse(b"").unwrap();
+    assert!(load.items.is_empty());
 }
 
 #[test]
 fn every_single_bit_flip_under_the_crc_is_caught() {
     let bytes = corpus_bytes("front_warm.seg");
-    let full = parse_front_segment(&bytes).unwrap();
+    let full = FrontStore::parse(&bytes).unwrap();
     // CRC-32 detects every single-bit error, so flipping any one bit of
     // any payload byte must fail the file — exhaustively, not sampled.
     // Payload bytes are exactly the rendered point lines.
     let mut covered = 0usize;
     let mut cursor = 0usize;
-    for point in &full.points {
-        let payload = render_front_entry(point);
+    for point in &full.items {
+        let payload = FrontCodec::render(point);
         let start = bytes[cursor..]
             .windows(payload.len())
             .position(|w| w == payload.as_bytes())
@@ -187,7 +187,7 @@ fn fronts_cross_feed_into_every_other_parser_as_typed_errors() {
     let text = String::from_utf8(front.clone()).expect("the seed is ASCII");
 
     // A front fed to the five sibling parsers: typed errors, no panics.
-    let cache = catch_unwind(AssertUnwindSafe(|| parse_segment(&front)))
+    let cache = catch_unwind(AssertUnwindSafe(|| SegmentStore::parse(&front)))
         .expect("cache-segment parser panicked on a front");
     assert!(
         cache.unwrap_err().contains("not a cache segment"),

@@ -1,5 +1,5 @@
 //! Corpus fuzz tests for the durable-cache segment format
-//! (`parse_segment` / `parse_entry` / `render_segment`), in the same
+//! (`SegmentStore::parse` / `CacheCodec::parse` / `SegmentStore::render`), in the same
 //! idiom as `corpus_profiles.rs`.
 //!
 //! The segment parser's contract is stricter than "total": besides
@@ -20,7 +20,8 @@ use std::path::PathBuf;
 
 use hi_core::{parse_fault_suite, ExploreCheckpoint};
 use hi_serve::{
-    frame_entry, parse_profiles, parse_segment, render_entry, render_segment, JobRecord,
+    frame_entry, parse_profiles, CacheCodec, CachedOutcome, Codec, FramedLoad, JobRecord,
+    SegmentStore,
 };
 
 fn corpus_dir() -> PathBuf {
@@ -33,43 +34,43 @@ fn corpus_bytes(name: &str) -> Vec<u8> {
         .unwrap_or_else(|e| panic!("corpus file {} unreadable: {e}", path.display()))
 }
 
-/// `parse_segment` must return — Ok or Err — on `bytes`, never panic.
-fn parse_survives(context: &str, bytes: &[u8]) -> Result<hi_serve::SegmentLoad, String> {
-    catch_unwind(AssertUnwindSafe(|| parse_segment(bytes)))
+/// `SegmentStore::parse` must return — Ok or Err — on `bytes`, never panic.
+fn parse_survives(context: &str, bytes: &[u8]) -> Result<FramedLoad<CachedOutcome>, String> {
+    catch_unwind(AssertUnwindSafe(|| SegmentStore::parse(bytes)))
         .unwrap_or_else(|_| panic!("segment parser panicked on {context}"))
 }
 
 #[test]
 fn the_wellformed_seed_parses_and_roundtrips() {
     let bytes = corpus_bytes("segment_warm.seg");
-    let load = parse_segment(&bytes).expect("the committed warm segment is valid");
+    let load = SegmentStore::parse(&bytes).expect("the committed warm segment is valid");
     assert!(load.torn.is_none(), "{:?}", load.torn);
-    assert!(load.entries.len() >= 8, "suspiciously small seed");
+    assert!(load.items.len() >= 8, "suspiciously small seed");
     // Render-parse roundtrip is byte-identical: the seed really is in
     // canonical form, so compaction rewrites are stable.
-    let rendered = render_segment(load.key, &load.entries);
+    let rendered = SegmentStore::render(load.key, &load.items);
     assert_eq!(rendered, bytes);
 }
 
 #[test]
 fn the_torn_seed_keeps_its_intact_prefix() {
-    let warm = parse_segment(&corpus_bytes("segment_warm.seg")).unwrap();
-    let torn = parse_segment(&corpus_bytes("segment_torn.seg"))
+    let warm = SegmentStore::parse(&corpus_bytes("segment_warm.seg")).unwrap();
+    let torn = SegmentStore::parse(&corpus_bytes("segment_torn.seg"))
         .expect("a torn tail is recoverable, not fatal");
     let note = torn.torn.expect("the tear must be reported");
     assert!(note.contains("torn"), "{note}");
     assert_eq!(torn.key, warm.key);
     assert_eq!(
-        torn.entries.len(),
-        warm.entries.len() - 1,
+        torn.items.len(),
+        warm.items.len() - 1,
         "exactly the final, half-written entry is lost"
     );
-    assert_eq!(torn.entries, warm.entries[..warm.entries.len() - 1]);
+    assert_eq!(torn.items, warm.items[..warm.items.len() - 1]);
 }
 
 #[test]
 fn the_bit_rot_seed_is_rejected_whole() {
-    let err = parse_segment(&corpus_bytes("segment_bit_rot.seg"))
+    let err = SegmentStore::parse(&corpus_bytes("segment_bit_rot.seg"))
         .expect_err("a CRC mismatch mid-file is bit rot, not a tear");
     assert!(err.contains("crc"), "diagnostic must name the check: {err}");
 }
@@ -77,7 +78,7 @@ fn the_bit_rot_seed_is_rejected_whole() {
 #[test]
 fn truncation_at_every_byte_never_panics_and_never_misloads() {
     let bytes = corpus_bytes("segment_warm.seg");
-    let full = parse_segment(&bytes).unwrap();
+    let full = SegmentStore::parse(&bytes).unwrap();
     // Clean cut points: after the key line and after each framed entry.
     // A cut exactly there is indistinguishable from a complete shorter
     // file — the append-only format's one honest blind spot. Everywhere
@@ -91,8 +92,8 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
         .nth(1)
         .expect("header and key lines exist");
     boundaries.push(edge);
-    for entry in &full.entries {
-        edge += frame_entry(&render_entry(entry)).len();
+    for entry in &full.items {
+        edge += frame_entry(&CacheCodec::render(entry)).len();
         boundaries.push(edge);
     }
     for cut in 0..bytes.len() {
@@ -101,12 +102,8 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
             // Whatever survives a cut must be a *prefix* of the truth —
             // never a reordering, never an invented entry — and a cut
             // off a frame boundary must be flagged torn.
-            assert!(load.entries.len() <= full.entries.len());
-            assert_eq!(
-                load.entries,
-                full.entries[..load.entries.len()],
-                "cut {cut}"
-            );
+            assert!(load.items.len() <= full.items.len());
+            assert_eq!(load.items, full.items[..load.items.len()], "cut {cut}");
             assert!(
                 load.torn.is_some() || boundaries.contains(&cut),
                 "silent data loss at cut {cut}"
@@ -115,21 +112,21 @@ fn truncation_at_every_byte_never_panics_and_never_misloads() {
     }
     // And the empty file is a torn (empty) segment, not an error: a
     // crash can land exactly between create and first write.
-    let load = parse_segment(b"").unwrap();
-    assert!(load.entries.is_empty());
+    let load = SegmentStore::parse(b"").unwrap();
+    assert!(load.items.is_empty());
 }
 
 #[test]
 fn every_single_bit_flip_under_the_crc_is_caught() {
     let bytes = corpus_bytes("segment_warm.seg");
-    let full = parse_segment(&bytes).unwrap();
+    let full = SegmentStore::parse(&bytes).unwrap();
     // CRC-32 detects every single-bit error, so flipping any one bit of
     // any payload byte must fail the file — exhaustively, not sampled.
     // Payload bytes are exactly the rendered entry lines.
     let mut covered = 0usize;
     let mut cursor = 0usize;
-    for entry in &full.entries {
-        let payload = render_entry(entry);
+    for entry in &full.items {
+        let payload = CacheCodec::render(entry);
         let start = bytes[cursor..]
             .windows(payload.len())
             .position(|w| w == payload.as_bytes())
@@ -178,7 +175,7 @@ fn megabyte_entries_error_without_panicking_or_preallocating() {
     bytes.extend_from_slice(b"entry 1048576 00000000\nshort");
     let load = parse_survives("a declared-length bomb", &bytes).unwrap();
     assert!(load.torn.is_some());
-    assert!(load.entries.is_empty());
+    assert!(load.items.is_empty());
 }
 
 #[test]
@@ -203,7 +200,7 @@ fn crlf_segments_are_rejected_not_misread() {
     match verdict {
         Err(_) => {}
         Ok(load) => assert!(
-            load.entries.is_empty() && load.torn.is_some(),
+            load.items.is_empty() && load.torn.is_some(),
             "a CRLF segment must not half-load: {load:?}"
         ),
     }

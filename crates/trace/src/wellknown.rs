@@ -119,6 +119,12 @@ pub const SERVE_PARETO_QUERIES: &str = "serve.pareto.queries";
 pub const SERVE_PARETO_LOADED: &str = "serve.pareto.points_loaded";
 /// Front points appended to (or rewritten into) durable front segments.
 pub const SERVE_PARETO_PERSISTED: &str = "serve.pareto.points_persisted";
+/// Front segment compactions (full atomic rewrites folding the append
+/// tail and displaced points).
+pub const SERVE_PARETO_COMPACTIONS: &str = "serve.pareto.compactions";
+/// Front segment files quarantined at load (structural bit rot or a key
+/// line naming another stream).
+pub const SERVE_PARETO_QUARANTINED: &str = "serve.pareto.segments_quarantined";
 
 /// Every metric in the catalog with its kind.
 pub const CATALOG: &[(&str, MetricKind)] = &[
@@ -173,6 +179,8 @@ pub const CATALOG: &[(&str, MetricKind)] = &[
     (SERVE_PARETO_QUERIES, MetricKind::Counter),
     (SERVE_PARETO_LOADED, MetricKind::Counter),
     (SERVE_PARETO_PERSISTED, MetricKind::Counter),
+    (SERVE_PARETO_COMPACTIONS, MetricKind::Counter),
+    (SERVE_PARETO_QUARANTINED, MetricKind::Counter),
 ];
 
 /// Pre-registers the whole catalog on `registry`.
