@@ -55,7 +55,10 @@ diff /tmp/hi_ci_rob_t1.txt /tmp/hi_ci_rob_t8.txt
 
 # ...and must pick a more conservative optimum than the nominal run on
 # the demo suite (the whole point of Γ-robust feasibility).
-! diff -q /tmp/hi_ci_t1.txt /tmp/hi_ci_rob_t1.txt > /dev/null
+if diff -q /tmp/hi_ci_t1.txt /tmp/hi_ci_rob_t1.txt > /dev/null; then
+    echo "robust exploration picked the nominal optimum" >&2
+    exit 1
+fi
 
 # Γ-robust engine gates. `--engine robust-milp` prices the fault suite
 # into the formulation and simulates only each level's witness, so on
@@ -73,10 +76,26 @@ target/release/hi-opt explore --pdr-min 0.7 --tsim 5 --runs 1 --threads 8 \
     > /tmp/hi_ci_rm_t8.txt 2> /dev/null
 diff /tmp/hi_ci_rm_t1.txt /tmp/hi_ci_rm_t8.txt
 grep -q '^price of robustness : ' /tmp/hi_ci_rm_t1.txt
-! diff -q /tmp/hi_ci_rw.txt /tmp/hi_ci_rm_t1.txt > /dev/null
+if diff -q /tmp/hi_ci_rw.txt /tmp/hi_ci_rm_t1.txt > /dev/null; then
+    echo "robust-milp printed the --robust worst report" >&2
+    exit 1
+fi
 WORST_SIMS=$(sed -n 's/^effort *: \([0-9]*\) simulations.*/\1/p' /tmp/hi_ci_rw.txt)
 MILP_SIMS=$(sed -n 's/^effort *: \([0-9]*\) simulations.*/\1/p' /tmp/hi_ci_rm_t1.txt)
 [ $((MILP_SIMS * 10)) -le "$WORST_SIMS" ]
+
+# The simplex pivot path is pinned: at 1 and 8 workers the robust demo
+# performs exactly these pivots, branch & bound nodes and MILP solves
+# (values recorded with the dense tableau kernel, which the sparse-update
+# kernel must repeat pivot for pivot).
+for T in 1 8; do
+    target/release/hi-opt explore --pdr-min 0.7 --tsim 5 --runs 1 --threads "$T" \
+        --faults scenarios/demo.suite --engine robust-milp --gamma 2 --metrics \
+        > /dev/null 2> /tmp/hi_ci_rm_metrics.txt
+    grep -Eq '^ *milp\.pivots +143187$' /tmp/hi_ci_rm_metrics.txt
+    grep -Eq '^ *milp\.bb_nodes +2490$' /tmp/hi_ci_rm_metrics.txt
+    grep -Eq '^ *milp\.solves +18$' /tmp/hi_ci_rm_metrics.txt
+done
 
 # The ILP restriction heuristic must spend strictly fewer simulations
 # than `--robust worst` and land within 5% (measured worst-case power of
@@ -284,7 +303,10 @@ target/release/hi-serve-client /tmp/hi_ci_serve/addr run /tmp/hi_ci_serve_c.prof
     > /tmp/hi_ci_serve_r3.txt 2> /dev/null
 grep -q '^status feasible$' /tmp/hi_ci_serve_r1.txt
 grep -q '^simulations 0$' /tmp/hi_ci_serve_r2.txt      # the twin paid nothing
-! grep -q '^simulations 0$' /tmp/hi_ci_serve_r3.txt    # different physics paid
+if grep -q '^simulations 0$' /tmp/hi_ci_serve_r3.txt; then
+    echo "a profile with different physics was served from the fleet cache" >&2
+    exit 1
+fi
 target/release/hi-serve-client /tmp/hi_ci_serve/addr stats > /tmp/hi_ci_serve_stats.txt
 grep '^serve.fleet.cache_hits ' /tmp/hi_ci_serve_stats.txt | awk '{exit !($2 > 0)}'
 grep -q '^serve.jobs.completed 3$' /tmp/hi_ci_serve_stats.txt
@@ -404,7 +426,10 @@ target/release/hi-serve-client --token chaos-2 /tmp/hi_ci_serve_chaos/addr \
     run /tmp/hi_ci_serve_kill.profile > /tmp/hi_ci_serve_chaos2.txt 2> /dev/null
 target/release/hi-serve-client /tmp/hi_ci_serve_chaos/addr shutdown > /dev/null
 wait "$GREMLIN"
-! grep -q quarantine /tmp/hi_ci_serve_chaos.err   # torn tails repair, not quarantine
+if grep -q quarantine /tmp/hi_ci_serve_chaos.err; then
+    echo "a torn tail was quarantined instead of repaired" >&2
+    exit 1
+fi
 # Design answers under chaos match the nominal straight-through run.
 grep '^status feasible\|^design \|^pdr \|^nlt_days \|^power_mw ' /tmp/hi_ci_serve_straight.txt \
     > /tmp/hi_ci_serve_expect.txt
@@ -428,7 +453,10 @@ target/release/hi-serve-client /tmp/hi_ci_front/addr run /tmp/hi_ci_serve_kill.p
     > /dev/null 2>&1
 target/release/hi-serve-client /tmp/hi_ci_front/addr front 1 > /tmp/hi_ci_front_hot.txt
 grep -q '^point ' /tmp/hi_ci_front_hot.txt
-! grep -q '^simulations 0$' /tmp/hi_ci_front_hot.txt   # the hot daemon paid
+if grep -q '^simulations 0$' /tmp/hi_ci_front_hot.txt; then
+    echo "the hot daemon answered FRONT without simulating" >&2
+    exit 1
+fi
 target/release/hi-serve-client /tmp/hi_ci_front/addr shutdown > /dev/null
 wait "$FRONTD"
 rm -f /tmp/hi_ci_front/addr
@@ -450,7 +478,10 @@ diff /tmp/hi_ci_front_hot_rows.txt /tmp/hi_ci_front_warm_rows.txt
 rm -rf /tmp/hi_ci_tradearch
 target/release/hi-opt tradeoff --tsim 2 --runs 1 --archive /tmp/hi_ci_tradearch \
     > /tmp/hi_ci_trade_cold.txt
-! grep -q '^total unique simulations: 0$' /tmp/hi_ci_trade_cold.txt
+if grep -q '^total unique simulations: 0$' /tmp/hi_ci_trade_cold.txt; then
+    echo "a cold tradeoff sweep ran no simulations" >&2
+    exit 1
+fi
 target/release/hi-opt tradeoff --tsim 2 --runs 1 --archive /tmp/hi_ci_tradearch \
     > /tmp/hi_ci_trade_warm.txt
 grep -q '^total unique simulations: 0$' /tmp/hi_ci_trade_warm.txt

@@ -12,9 +12,12 @@
 //! * [`Model`] — a builder-style modelling API with typed [`VarId`]s,
 //!   [`LinExpr`] linear expressions (with operator overloading), and
 //!   `<=`/`==`/`>=` constraints.
-//! * [`simplex`] — a dense two-phase primal simplex for the LP relaxation,
-//!   with Bland's anti-cycling rule.
-//! * [`branch`] — best-first branch & bound over the integer variables.
+//! * [`simplex`] — a two-phase primal simplex for the LP relaxation
+//!   (Dantzig pricing with a Bland's-rule fallback) on a flat tableau with
+//!   sparse row updates; it performs exactly the pivots of a dense
+//!   full-row tableau, only cheaper.
+//! * [`branch`] — depth-first branch & bound over the integer variables,
+//!   reusing one simplex workspace across its nodes.
 //! * [`pool`] — enumeration of *all* optimal solutions over the binary
 //!   variables via no-good cuts, mirroring the "set of candidate solutions"
 //!   returned by line 3 of Algorithm 1 in the paper.
